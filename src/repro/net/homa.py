@@ -80,6 +80,10 @@ COMPLETED_MEMORY = 4096
 #: Homa's streamlined datapath, as a fraction of the TCP per-segment cost.
 HOMA_COST_SCALE = 0.5
 
+#: Client source ports count up from just above this and, after 65,535,
+#: start over there, so a long-lived client never overflows the u16.
+EPHEMERAL_BASE = 52_000
+
 # Packet types.
 DATA = 1
 GRANT = 2
@@ -230,7 +234,7 @@ class HomaTransport:
         self._in = {}                 # (peer_ip, rpc_id, dport) -> _InMessage
         self._completed = {}          # recently completed keys (dedup memory)
         self._rpc_counter = (host.ip & 0xFFFF) << 32
-        self._ephemeral = 52_000
+        self._ephemeral = EPHEMERAL_BASE
         #: Optional live-observability hook (repro.obs.Recorder): send
         #: attempts and give-ups feed the span-link chains.  None costs
         #: one attribute load per send.
@@ -273,8 +277,11 @@ class HomaTransport:
         return rpc_id
 
     def _next_ephemeral(self):
-        self._ephemeral += 1
-        return self._ephemeral
+        port = self._ephemeral + 1
+        if port > 0xFFFF:
+            port = EPHEMERAL_BASE + 1
+        self._ephemeral = port
+        return port
 
     # -- send side ----------------------------------------------------------------
 

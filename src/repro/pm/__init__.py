@@ -8,8 +8,11 @@ uses Intel Optane DCPMM in App-Direct mode:
   CPU-visible view (think: CPU caches) and only reach the persistent
   view via explicit cache-line write-back (``clwb``) followed by a store
   fence (``sfence``), exactly the discipline PM software must follow.
+  One byte image backs both: the persistent state is that image with
+  the not-yet-persisted lines' old bytes laid over it.
 - :class:`~repro.pm.cache.FlushTracker` — the dirty/pending line
-  bookkeeping behind those semantics, including what survives a crash.
+  bookkeeping behind those semantics, including the delta shadow of
+  persisted bytes and what survives a crash.
 - :class:`~repro.pm.alloc.PMAllocator` — a user-space persistent-memory
   allocator of the kind NoveLSM carries (and the paper proposes to
   obviate by reusing the network stack's buffer pools).

@@ -14,7 +14,18 @@ may or may not have drained.
   On crash each pending line persists independently with a caller-
   supplied probability (hardware write-pending-queue drain is not
   ordered), which is what makes torn updates reproducible in tests.
-- fenced      — copied into the device's persistent image.
+- fenced      — durable.
+
+The device keeps a single byte image, the CPU-visible one.  What the
+persistence domain holds is derived from it through the tracker's
+**delta shadow**: ``shadow`` maps a line index to that line's persisted
+bytes for every line whose live bytes may differ from them, i.e. every
+line in ``dirty`` or ``pending``.  Every other line is durable as it
+stands.  The shadow takes a line's pre-image on the first store after
+the line was last persisted, a fence retires the lines it made durable,
+and a crash writes the shadow back over the live image in place — so
+the bookkeeping costs what the unpersisted lines cost, never the size
+of the device.
 """
 
 import types
@@ -23,7 +34,8 @@ from repro.pm.constants import CACHE_LINE
 
 
 class FlushTracker:
-    """Tracks dirty and pending (written-back, unfenced) cache lines."""
+    """Tracks dirty and pending (written-back, unfenced) cache lines and
+    the delta shadow of persisted bytes behind them."""
 
     def __init__(self, line_size=CACHE_LINE):
         self.line_size = line_size
@@ -31,6 +43,11 @@ class FlushTracker:
         self.dirty = set()
         #: line index -> bytes snapshot taken when the line was written back.
         self.pending = {}
+        #: line index -> ``(buf, base)`` for every line in ``dirty`` or
+        #: ``pending`` (lines outside it are durable as-is): the line's
+        #: persisted bytes are ``buf[line * line_size - base:][:line_size]``.
+        #: Lines first stored to by one store share that store's slice.
+        self.shadow = {}
         # Statistics, used by benchmarks and tests.
         self.stores = 0
         self.flushes = 0
@@ -44,8 +61,14 @@ class FlushTracker:
         last = (offset + length - 1) // self.line_size
         return range(first, last + 1)
 
-    def mark_store(self, offset, length):
-        """Record a store: its lines become dirty.
+    def mark_store(self, offset, length, data):
+        """Record a store about to land in ``data``: its lines become dirty.
+
+        Must run *before* the bytes change: a line stored to for the
+        first time since it was last persisted has its pre-image — its
+        persisted bytes — copied into the shadow.  The store's line span
+        is sliced once, and every line not yet shadowed points into that
+        one slice.
 
         A new store to a line that was pending re-dirties it: the
         earlier write-back snapshot still stands, but the newest bytes
@@ -57,7 +80,23 @@ class FlushTracker:
         line_size = self.line_size
         first = offset // line_size
         last = (offset + length - 1) // line_size
-        self.dirty.update(range(first, last + 1))
+        shadow = self.shadow
+        if first == last:
+            if first not in shadow:
+                start = first * line_size
+                shadow[first] = (data[start:start + line_size], start)
+            self.dirty.add(first)
+            return 1
+        lines = range(first, last + 1)
+        dirty = self.dirty
+        # Dirty lines are shadowed already: a rewrite costs one C-level scan.
+        if not dirty.issuperset(lines):
+            base = first * line_size
+            entry = (data[base:(last + 1) * line_size], base)
+            for line in lines:
+                if line not in shadow:
+                    shadow[line] = entry
+            dirty.update(lines)
         return last - first + 1
 
     def writeback(self, offset, length, data):
@@ -90,18 +129,39 @@ class FlushTracker:
             written += 1
         return written
 
-    def fence(self, persistent_image):
-        """sfence: drain every pending line into the persistent image."""
+    def fence(self):
+        """sfence: every pending line becomes durable.
+
+        A line left clean since its write-back now persists exactly its
+        live bytes, so it leaves the shadow; a line re-dirtied since
+        then persists its write-back snapshot, which becomes its shadow
+        entry.
+        """
         self.fences += 1
-        drained = len(self.pending)
-        for line, snapshot in self.pending.items():
-            start = line * self.line_size
-            persistent_image[start:start + len(snapshot)] = snapshot
-        self.pending.clear()
+        pending = self.pending
+        drained = len(pending)
+        if drained:
+            dirty = self.dirty
+            shadow = self.shadow
+            if not dirty:
+                # The shadow holds exactly the pending lines.
+                shadow.clear()
+            else:
+                line_size = self.line_size
+                for line, snapshot in pending.items():
+                    if line in dirty:
+                        shadow[line] = (snapshot, line * line_size)
+                    else:
+                        del shadow[line]
+            pending.clear()
         return drained
 
-    def crash(self, persistent_image, rng=None, pending_persist_prob=0.5):
+    def crash(self, data, rng=None, pending_persist_prob=0.5):
         """Power loss: dirty lines are gone; pending lines may drain.
+
+        The lines that persisted are promoted into the shadow, then
+        every shadow line is written back over ``data`` in place, which
+        leaves ``data`` holding exactly the persisted image.
 
         With ``rng=None``, pending lines are dropped — the conservative
         outcome a correct recovery procedure must tolerate anyway.  This
@@ -117,6 +177,8 @@ class FlushTracker:
         seeded RNG always produces the same drain decisions regardless
         of the store/flush history that built the pending map.
         """
+        shadow = self.shadow
+        line_size = self.line_size
         if rng is not None:
             if isinstance(rng, types.ModuleType) or not callable(getattr(rng, "random", None)):
                 raise TypeError(
@@ -131,11 +193,51 @@ class FlushTracker:
                 )
             for line in sorted(self.pending):
                 if rng.random() < pending_persist_prob:
-                    snapshot = self.pending[line]
-                    start = line * self.line_size
-                    persistent_image[start:start + len(snapshot)] = snapshot
+                    shadow[line] = (self.pending[line], line * line_size)
+        for line, (buf, base) in shadow.items():
+            start = line * line_size
+            end = start + line_size
+            data[start:end] = buf[start - base:end - base]
+        shadow.clear()
         self.dirty.clear()
         self.pending.clear()
+
+    def _persisted_pieces(self, offset, length):
+        """``(lo, persisted bytes at lo)`` for each shadow line's part
+        of [offset, offset+length)."""
+        shadow = self.shadow
+        if length <= 0 or not shadow:
+            return
+        line_size = self.line_size
+        end = offset + length
+        first = offset // line_size
+        last = (end - 1) // line_size
+        if len(shadow) < last - first + 1:
+            lines = [line for line in shadow if first <= line <= last]
+        else:
+            lines = [line for line in range(first, last + 1) if line in shadow]
+        for line in lines:
+            buf, base = shadow[line]
+            start = line * line_size
+            lo = max(start, offset)
+            hi = min(start + line_size, end)
+            yield lo, buf[lo - base:hi - base]
+
+    def persisted_bytes(self, data, offset, length):
+        """The persisted bytes of [offset, offset+length): ``data`` with
+        the shadow lines laid over it."""
+        image = bytearray(data[offset:offset + length])
+        for lo, piece in self._persisted_pieces(offset, length):
+            image[lo - offset:lo - offset + len(piece)] = piece
+        return bytes(image)
+
+    def is_durable(self, data, offset, length):
+        """True if every byte of [offset, offset+length) in ``data``
+        equals its persisted byte."""
+        return all(
+            data[lo:lo + len(piece)] == piece
+            for lo, piece in self._persisted_pieces(offset, length)
+        )
 
     def dirty_byte_estimate(self):
         """Upper bound on unflushed bytes (line-granular)."""

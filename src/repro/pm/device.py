@@ -6,10 +6,11 @@ kinds exist:
 
 - :class:`DRAMDevice` — volatile.  Contents vanish on crash.  Flush and
   fence are no-ops (there is nothing to persist into).
-- :class:`PMDevice` — persistent.  Keeps a second byte image (what has
-  actually reached the persistence domain) and a
-  :class:`~repro.pm.cache.FlushTracker`; ``crash()`` reverts the
-  CPU-visible view to the persistent image.
+- :class:`PMDevice` — persistent.  Keeps one byte image (the
+  CPU-visible one) and a :class:`~repro.pm.cache.FlushTracker` whose
+  delta shadow holds the persisted bytes of just the lines stored to
+  since they last persisted; ``crash()`` writes those lines back in
+  place, so the image reverts to what reached the persistence domain.
 
 Cost-charging convention: ``read``/``write`` do **not** implicitly
 charge time, because bulk data movement (copies, checksums) is priced
@@ -32,7 +33,7 @@ from repro.pm.constants import (
 from repro.sim.context import NULL_CONTEXT
 
 
-def _zero_buffer(size):
+def zero_buffer(size):
     """A writable all-zero buffer of ``size`` bytes.
 
     Anonymous mmap gives demand-zero pages: allocation is O(1) and
@@ -78,7 +79,7 @@ class MemoryDevice:
         self.size = size
         self.access_ns = access_ns
         self.name = name
-        self.data = _zero_buffer(size)
+        self.data = zero_buffer(size)
         self.crashes = 0
 
     def _check(self, offset, length):
@@ -127,7 +128,7 @@ class MemoryDevice:
         signature.
         """
         self.crashes += 1
-        self.data = _zero_buffer(self.size)
+        self.data = zero_buffer(self.size)
 
     def region(self, base, size, name=None):
         """Carve a window [base, base+size) as a :class:`Region`."""
@@ -162,8 +163,6 @@ class PMDevice(MemoryDevice):
         super().__init__(size, access_ns, name)
         self.flush_line_ns = flush_line_ns
         self.fence_ns = fence_ns
-        #: Bytes that have actually reached the persistence domain.
-        self.persisted = _zero_buffer(size)
         self.tracker = FlushTracker()
         #: Sanitizer hook (see :func:`set_observer_factory`); purely
         #: observational.
@@ -172,11 +171,15 @@ class PMDevice(MemoryDevice):
         )
 
     def write(self, offset, payload):
-        written = super().write(offset, payload)
-        self.tracker.mark_store(offset, written)
+        length = len(payload)
+        if offset < 0 or offset + length > self.size:
+            self._check(offset, length)
+        # Before the bytes land: the tracker shadows their pre-image.
+        self.tracker.mark_store(offset, length, self.data)
+        self.data[offset:offset + length] = payload
         if self.observer is not None:
-            self.observer.on_store(self, offset, written)
-        return written
+            self.observer.on_store(self, offset, length)
+        return length
 
     def flush(self, offset, length, ctx=NULL_CONTEXT, category="pm.flush"):
         """clwb the covered lines; charges per dirty line written back."""
@@ -189,17 +192,21 @@ class PMDevice(MemoryDevice):
         return lines
 
     def fence(self, ctx=NULL_CONTEXT, category="pm.flush"):
-        """sfence: drain pending write-backs into the persistent image."""
+        """sfence: drain pending write-backs into the persistence domain."""
         if self.observer is not None:
             # Pre-drain, so the observer sees what this fence is about
             # to persist next to what is still volatile.
             self.observer.on_fence(self)
-        drained = self.tracker.fence(self.persisted)
+        drained = self.tracker.fence()
         ctx.charge(self.fence_ns, category)
         return drained
 
     def crash(self, rng=None, pending_persist_prob=0.5):
         """Power loss: CPU-visible view reverts to what was persisted.
+
+        Only the unpersisted lines are rewritten, in place: ``data``
+        stays the same buffer object and the cost is proportional to
+        the delta shadow, not the device.
 
         Pending (written-back, unfenced) lines drain probabilistically
         when a **seeded** ``rng`` instance is supplied; with ``rng=None``
@@ -210,22 +217,24 @@ class PMDevice(MemoryDevice):
         self.crashes += 1
         if self.observer is not None:
             self.observer.on_crash(self)
-        self.tracker.crash(self.persisted, rng, pending_persist_prob)
-        self.data = bytearray(self.persisted)
+        self.tracker.crash(self.data, rng, pending_persist_prob)
 
     def persisted_view(self, offset, length):
-        """Read from the persistent image (what recovery would see)."""
+        """Read the persisted bytes (what recovery would see)."""
         self._check(offset, length)
         if self.observer is not None:
             self.observer.on_crash_visible_read(self, offset, length)
-        return bytes(self.persisted[offset:offset + length])
+        return self.tracker.persisted_bytes(self.data, offset, length)
 
     def is_durable(self, offset, length):
-        """True if every byte in the range matches its persisted image."""
+        """True if every byte in the range matches its persisted byte.
+
+        Byte-exact: a line rewritten with identical bytes still counts.
+        """
         self._check(offset, length)
         if self.observer is not None:
             self.observer.on_crash_visible_read(self, offset, length)
-        return self.data[offset:offset + length] == self.persisted[offset:offset + length]
+        return self.tracker.is_durable(self.data, offset, length)
 
 
 class Region:

@@ -67,8 +67,8 @@ class PMNamespace:
     def reopen(cls, device):
         """Rebuild a namespace from the device's persisted directory.
 
-        Use after ``device.crash()`` — this reads the persistent image,
-        not the (now reset) CPU-visible view.  Of the two directory
+        Use after ``device.crash()`` — this reads the persisted bytes
+        (``persisted_view``), not the CPU-visible view.  Of the two directory
         slots, the CRC-valid one with the highest sequence number wins;
         a torn directory write therefore surfaces as a clean rollback
         to the previous directory, never as garbage entries.

@@ -8,9 +8,15 @@ calls.  This model captures what matters for the comparison with PM:
 - a volatile write cache: writes are not durable until :meth:`sync`,
 - crash drops every unsynced write.
 
+Like :class:`~repro.pm.device.PMDevice`, the device keeps one
+demand-zero byte image plus the durable pre-images of the blocks
+written since the last sync; ``crash()`` restores those blocks in
+place.
+
 Defaults approximate a datacenter NVMe SSD.
 """
 
+from repro.pm.device import zero_buffer
 from repro.sim.context import NULL_CONTEXT
 
 BLOCK_SIZE = 4096
@@ -29,10 +35,10 @@ class BlockDevice:
         self.write_ns = write_ns
         self.sync_ns = sync_ns
         self.name = name
-        self.data = bytearray(size)
-        self.durable = bytearray(size)
-        #: Block indices written since the last sync.
-        self._unsynced = set()
+        self.data = zero_buffer(size)
+        #: block index -> durable bytes, for each block written since
+        #: the last sync (every other block is durable as it stands).
+        self._unsynced = {}
         self.reads = 0
         self.writes = 0
         self.syncs = 0
@@ -63,30 +69,46 @@ class BlockDevice:
         length = len(payload)
         self._check(offset, length)
         self.writes += 1
+        unsynced = self._unsynced
+        block_size = self.block_size
+        for block in self._blocks(offset, length):
+            if block not in unsynced:
+                start = block * block_size
+                unsynced[block] = self.data[start:start + block_size]
         self.data[offset:offset + length] = payload
-        self._unsynced.update(self._blocks(offset, length))
         ctx.charge(self.nblocks(offset, length) * self.write_ns, category)
         return length
 
     def sync(self, ctx=NULL_CONTEXT, category="blockdev.sync"):
         """Flush the write cache (fsync/fdatasync equivalent)."""
         self.syncs += 1
-        for block in self._unsynced:
-            start = block * self.block_size
-            self.durable[start:start + self.block_size] = self.data[start:start + self.block_size]
         drained = len(self._unsynced)
         self._unsynced.clear()
         ctx.charge(self.sync_ns, category)
         return drained
 
     def crash(self):
-        """Power loss: unsynced writes vanish."""
-        self.data = bytearray(self.durable)
+        """Power loss: unsynced writes vanish, restored in place."""
+        block_size = self.block_size
+        for block, durable in self._unsynced.items():
+            start = block * block_size
+            self.data[start:start + block_size] = durable
         self._unsynced.clear()
 
     def durable_view(self, offset, length):
+        """The synced bytes of a range (what a crash would leave)."""
         self._check(offset, length)
-        return bytes(self.durable[offset:offset + length])
+        end = offset + length
+        image = bytearray(self.data[offset:end])
+        block_size = self.block_size
+        for block in self._blocks(offset, length):
+            durable = self._unsynced.get(block)
+            if durable is not None:
+                start = block * block_size
+                lo = max(start, offset)
+                hi = min(start + block_size, end)
+                image[lo - offset:hi - offset] = durable[lo - start:hi - start]
+        return bytes(image)
 
     def __repr__(self):
         return f"<BlockDevice {self.name} {self.size}B unsynced={len(self._unsynced)}>"

@@ -102,7 +102,6 @@ class PMReplayCursor:
     def materialize(self, image):
         """A fresh post-crash :class:`PMDevice` holding ``image``."""
         device = PMDevice(self.size, name="pmem-crashed")
-        device.persisted = bytearray(image)
         device.data = bytearray(image)
         device.crashes = 1
         return device
@@ -162,7 +161,6 @@ class BlockReplayCursor:
     def materialize(self, image):
         device = BlockDevice(self.size, block_size=self.block_size,
                              name="ssd-crashed")
-        device.durable = bytearray(image)
         device.data = bytearray(image)
         return device
 

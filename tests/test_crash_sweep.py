@@ -48,14 +48,14 @@ def test_replay_cursor_mirrors_flushtracker():
 
     for event in device.trace:
         cursor.apply(event)
-    assert bytes(cursor.persisted) == bytes(device.persisted)
+    assert bytes(cursor.persisted) == device.persisted_view(0, device.size)
     assert cursor.pending_units() == sorted(device.tracker.pending)
     assert bytes(cursor.data) == bytes(device.data)
 
     # The full-drain image equals what a fence would persist.
     drained = cursor.crash_image(cursor.pending_units())
     device.fence()
-    assert bytes(drained) == bytes(device.persisted)
+    assert bytes(drained) == device.persisted_view(0, device.size)
 
 
 def test_replay_cursor_torn_subset():

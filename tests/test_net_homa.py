@@ -90,6 +90,31 @@ class TestRpc:
         sim.run_until_idle()
         assert replies == {i: f"MSG-{i}".upper().encode() for i in range(5)}
 
+    def test_ephemeral_ports_wrap_after_65535(self):
+        sim, server, client = make_pair()
+        ports, replies = [], {}
+
+        def handler(rpc, segments, ctx):
+            ports.append(rpc.peer_port)
+            rpc.reply(b"".join(s.bytes() for s in segments), ctx)
+
+        server.homa.listen(7000, handler)
+        client.homa._ephemeral = 65_535
+
+        def fire(ctx):
+            for i in range(2):
+                client.homa.send_request(
+                    "10.0.0.1", 7000, f"late-{i}".encode(), ctx,
+                    on_reply=lambda segs, c, i=i: replies.update(
+                        {i: b"".join(s.bytes() for s in segs)}
+                    ),
+                )
+
+        client.process_on_core(client.cpus[0], fire)
+        sim.run_until_idle()
+        assert replies == {0: b"late-0", 1: b"late-1"}
+        assert sorted(ports) == [52_001, 52_002]
+
     def test_sender_clones_released_after_ack(self):
         sim, server, client = make_pair()
         server.homa.listen(7000, lambda rpc, segs, ctx: rpc.reply(b"ok", ctx))

@@ -47,7 +47,7 @@ def test_crash_without_rng_is_conservative_and_deterministic():
     for _ in range(2):
         dev = _dirty_pending_device()
         dev.crash()  # no rng: every pending line dropped, bit-for-bit
-        images.append(bytes(dev.persisted))
+        images.append(dev.persisted_view(0, dev.size))
     assert images[0] == images[1]
     assert images[0] == bytes(4096)
 
@@ -57,7 +57,7 @@ def test_same_seed_same_drain_outcome():
     for _ in range(2):
         dev = _dirty_pending_device()
         dev.crash(rng=random.Random(77), pending_persist_prob=0.5)
-        outcomes.append(bytes(dev.persisted))
+        outcomes.append(dev.persisted_view(0, dev.size))
     assert outcomes[0] == outcomes[1]
 
 
@@ -71,16 +71,17 @@ def test_drain_order_is_canonical_not_historical():
     backward = _dirty_pending_device(tuple(reversed(lines)))
     forward.crash(rng=random.Random(123), pending_persist_prob=0.4)
     backward.crash(rng=random.Random(123), pending_persist_prob=0.4)
-    assert bytes(forward.persisted) == bytes(backward.persisted)
+    assert (forward.persisted_view(0, forward.size)
+            == backward.persisted_view(0, backward.size))
 
 
 def test_probability_extremes():
     dev = _dirty_pending_device((0, 1, 2))
     dev.crash(rng=random.Random(1), pending_persist_prob=1.0)
-    assert bytes(dev.persisted[0:192]) != bytes(192)  # all drained
+    assert dev.persisted_view(0, dev.size)[0:192] != bytes(192)  # all drained
     dev2 = _dirty_pending_device((0, 1, 2))
     dev2.crash(rng=random.Random(1), pending_persist_prob=0.0)
-    assert bytes(dev2.persisted[0:192]) == bytes(192)  # none drained
+    assert dev2.persisted_view(0, dev2.size)[0:192] == bytes(192)  # none drained
 
 
 def test_dram_crash_accepts_uniform_signature():
