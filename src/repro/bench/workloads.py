@@ -34,6 +34,7 @@ should be preloaded (`repro.bench.testbed.preload`).
 
 import math
 import random
+from collections import deque
 
 
 class TrafficSource:
@@ -84,6 +85,22 @@ class UniformSource(TrafficSource):
     def describe(self):
         return {"source": "uniform", "method": self.method,
                 "key_space": self.key_space, "value_size": self.value_size}
+
+
+class ListSource(TrafficSource):
+    """A fixed list of operations, issued in order by loop 0 (the
+    storms' post-storm probes)."""
+
+    def __init__(self, ops):
+        self._ops = deque(ops)
+
+    def next_op(self, loop_id=0):
+        if loop_id != 0 or not self._ops:
+            return None
+        return self._ops.popleft()
+
+    def describe(self):
+        return {"source": "list", "ops": len(self._ops)}
 
 
 class StormBurstSource(TrafficSource):

@@ -24,12 +24,14 @@ stall as a violation.  That negative check wires into CI via
 detector detects.
 """
 
+import math
 import random
 
 from repro.bench.testbed import SERVER_IP, make_testbed
-from repro.bench.workloads import StormBurstSource
+from repro.bench.workloads import ListSource, StormBurstSource
+from repro.bench.wrk import AckLedger, HomaWrkClient, WrkClient
 from repro.net.fabric import LinkFaults
-from repro.net.http import HttpParser, build_request
+from repro.net.http import build_request
 from repro.sim.units import MILLIS
 from repro.storage.server import ServerConfig
 
@@ -38,25 +40,28 @@ PORT = 80
 #: Slot size of the host pools (mirrors Host's default).
 SLOT = 2048
 
+#: Per-RPC client watchdog of the Homa storm.  Homa has no connections,
+#: so there is no stream to stall; the fault squall lands on
+#: DATA/GRANT/ACK packets and exercises sender-timeout retransmission.
+#: An RPC that neither the reply nor the transport's give-up resolves
+#: in time counts as a timeout, and its loop moves on, the way a real
+#: RPC client would.
+WATCHDOG_NS = 80 * MILLIS
 
-class ChaosReport:
-    """Outcome of one overload storm."""
+
+class StormReport:
+    """Violations of one storm, plus its loops' ack counters."""
+
+    #: Prefix of every summary line, and the summary's closing line when
+    #: no oracle fired.
+    TAG = "chaos"
+    HELD = "contract held: live, durable, leak-free"
 
     def __init__(self):
         self.violations = []
-        self.responses = {200: 0, 503: 0, 507: 0, 400: 0, 404: 0}
-        self.resets = 0
-        self.stall_aborts = 0
-        self.timeouts = 0
         self.crashed = None
-        self.acked_puts = 0
-        self.attempted_puts = 0
-        #: (rpc, direction) pairs that retransmitted at least once —
-        #: how much the span-link oracle actually exercised (homa only).
-        self.retransmitted_rpcs = 0
         self.probe_ok = False
-        self.server_stats = {}
-        self.overload_stats = {}
+        self.tally(AckLedger())
 
     @property
     def ok(self):
@@ -65,11 +70,47 @@ class ChaosReport:
     def violation(self, kind, detail):
         self.violations.append((kind, detail))
 
+    def tally(self, ledger):
+        """Copy the storm ledger's counters."""
+        self.responses = dict(ledger.responses)
+        self.attempted_puts = ledger.attempted
+        self.acked_puts = ledger.acked
+        self.resets = ledger.resets
+        self.timeouts = ledger.timeouts
+        self.give_ups = ledger.give_ups
+
+    def _render(self, lines):
+        tag = self.TAG
+        if self.crashed is not None:
+            lines.append(f"[{tag}] CRASH: {self.crashed!r}")
+        if not self.violations:
+            lines.append(f"[{tag}] {self.HELD}")
+        else:
+            lines.append(f"[{tag}] {len(self.violations)} violation(s):")
+            for kind, detail in self.violations[:10]:
+                lines.append(f"[{tag}]   {kind}: {detail}")
+            if len(self.violations) > 10:
+                lines.append(f"[{tag}]   ... {len(self.violations) - 10} more")
+        return "\n".join(lines)
+
+
+class ChaosReport(StormReport):
+    """Outcome of one overload storm."""
+
+    def __init__(self):
+        super().__init__()
+        self.stall_aborts = 0
+        #: (rpc, direction) pairs that retransmitted at least once —
+        #: how much the span-link oracle actually exercised (homa only).
+        self.retransmitted_rpcs = 0
+        self.server_stats = {}
+        self.overload_stats = {}
+
     def summary(self):
         lines = [
             f"[chaos] puts acked {self.acked_puts}/{self.attempted_puts}, "
             f"responses {dict(self.responses)}, resets {self.resets}, "
-            f"timeouts {self.timeouts}",
+            f"timeouts {self.timeouts}, give-ups {self.give_ups}",
         ]
         if self.retransmitted_rpcs:
             lines.append(
@@ -84,83 +125,62 @@ class ChaosReport:
         if self.overload_stats:
             lines.append("[chaos] overload: " + ", ".join(
                 f"{k} {v}" for k, v in sorted(self.overload_stats.items())))
-        if self.crashed is not None:
-            lines.append(f"[chaos] CRASH: {self.crashed!r}")
-        if self.violations:
-            lines.append(f"[chaos] {len(self.violations)} violation(s):")
-            for kind, detail in self.violations[:10]:
-                lines.append(f"[chaos]   {kind}: {detail}")
-            if len(self.violations) > 10:
-                lines.append(f"[chaos]   ... {len(self.violations) - 10} more")
-        else:
-            lines.append("[chaos] contract held: live, durable, leak-free")
-        return "\n".join(lines)
+        return self._render(lines)
 
 
-class _BurstConn:
-    """One closed-loop connection: PUT burst over a small private key set.
+def check_refcounts(store, report, where=""):
+    """Refcount oracle: each adopted buffer's refcount equals the
+    references the store holds on it — nothing else may be pinning
+    storage buffers once traffic has drained."""
+    held = {}
+    for refs in store._refs.values():
+        for buf in refs:
+            held[buf.slot] = held.get(buf.slot, 0) + 1
+    for slot, buf in store._buffers.items():
+        expected = held.get(slot, 0)
+        if buf.refcount != expected:
+            report.violation(
+                "refcount:buffer",
+                f"{where}slot {slot}: refcount {buf.refcount}, store "
+                f"holds {expected}",
+            )
 
-    ``puts > len(keys)`` forces overwrites, giving the emergency GC
-    superseded versions to reclaim mid-storm.  Tracks, per key, the
-    latest acked value and everything issued after it — the durability
-    oracle accepts any of those (an unacked write may legally persist).
+
+def check_span_links(recorder, metrics, report):
+    """Span-link oracle (Homa): every retransmitted RPC resolves.
+
+    The recorder threads one chain per RPC id through the trace ring
+    (see :mod:`repro.obs.trace`).  After a storm drains, each direction
+    that retransmitted must have ended in delivery or an explicit
+    give-up — a chain that did neither is an orphan: retransmit spans
+    dangling with no terminal span.  And no logical request may have
+    run a handler twice — that would double-count its stages in the
+    live Table-1 totals (the transport's completed-RPC dedup exists
+    exactly to prevent it).  Returns the number of (rpc, direction)
+    pairs that retransmitted.
     """
-
-    def __init__(self, world, conn_id, source):
-        self.world = world
-        self.conn_id = conn_id
-        self.source = source
-        keys_for = getattr(source, "keys_for", None)
-        self.keys = [key.encode() for key in keys_for(conn_id)] \
-            if keys_for is not None else []
-        self.sent = 0
-        self.parser = HttpParser(is_response=True)
-        self.sock = None
-        self.done = False
-        self.last_acked = {}    # key -> value of newest acked put
-        self.in_flight = None   # (key, value) awaiting its response
-        self.issued_after_ack = {}  # key -> [values issued after last ack]
-
-    def start(self, ctx):
-        self.sock = self.world.client.stack.connect(SERVER_IP, PORT, ctx)
-        self.sock.on_data = self._on_data
-        self.sock.on_established = lambda s, c: self._next(c)
-        self.sock.on_reset = self._on_reset
-
-    def _on_reset(self, _sock):
-        self.world.report.resets += 1
-        self.done = True
-        self.parser.reset()
-
-    def _next(self, ctx):
-        op = self.source.next_op(self.conn_id)
-        if op is None:
-            self.done = True
-            self.sock.close(ctx)
-            return
-        method, key_str, value = op
-        key = key_str.encode()
-        self.in_flight = (key, value)
-        self.issued_after_ack.setdefault(key, []).append(value)
-        self.sent += 1
-        self.world.report.attempted_puts += 1
-        self.sock.send(build_request(method, "/" + key_str, value), ctx)
-
-    def _on_data(self, _sock, segment, ctx):
-        for message in self.parser.feed(segment):
-            status = message.status
-            message.release()
-            self.world.report.responses[status] = \
-                self.world.report.responses.get(status, 0) + 1
-            if self.in_flight is not None and status == 200:
-                key, value = self.in_flight
-                self.last_acked[key] = value
-                self.issued_after_ack[key] = []
-                self.world.report.acked_puts += 1
-            self.in_flight = None
-            if self.done:
-                return
-            self._next(ctx)
+    retransmitted = 0
+    for rpc_id, chain in recorder.chains().items():
+        for direction in ("request", "reply"):
+            count = chain[direction]["retransmits"]
+            if count == 0:
+                continue
+            retransmitted += 1
+            if direction not in chain["delivered"] and \
+                    direction not in chain["gave_up"]:
+                report.violation(
+                    "spanlink:orphan",
+                    f"rpc {rpc_id} {direction}: {count} retransmit(s) but "
+                    f"the message was neither delivered nor given up",
+                )
+    double = metrics.value("server.rpc.double_dispatch")
+    if double:
+        report.violation(
+            "spanlink:double-dispatch",
+            f"{double:.0f} RPC(s) ran a handler more than once — their "
+            f"stage costs are double-counted in Table 1",
+        )
+    return retransmitted
 
 
 class _StallConn:
@@ -197,95 +217,6 @@ class _StallConn:
             )
 
 
-class _HomaBurstLoop:
-    """One closed-loop Homa requester: the same PUT burst as message RPCs.
-
-    Homa has no connections, so there is no stream to half-send and
-    stall — the TCP storm's stall clients have no analog here; the
-    fault squall instead lands on DATA/GRANT/ACK packets and exercises
-    the transport's sender-timeout retransmission.  A watchdog bounds
-    each RPC: if neither a reply nor the transport's give-up resolves
-    it, the loop counts a timeout and moves on, the way a real RPC
-    client would.
-    """
-
-    WATCHDOG_NS = 80 * MILLIS
-
-    def __init__(self, world, conn_id, source):
-        self.world = world
-        self.conn_id = conn_id
-        # The same TrafficSource as the TCP burst, so the durability
-        # oracle's bookkeeping is transport-independent.
-        self.source = source
-        keys_for = getattr(source, "keys_for", None)
-        self.keys = [key.encode() for key in keys_for(conn_id)] \
-            if keys_for is not None else []
-        self.sent = 0
-        self.done = False
-        self.last_acked = {}        # key -> value of newest acked put
-        self.in_flight = None       # (key, value) awaiting its reply
-        self.issued_after_ack = {}  # key -> [values issued after last ack]
-        self.awaiting = None        # seq of the outstanding RPC
-        self.core = None
-
-    def start(self, ctx):
-        cpus = self.world.client.cpus
-        self.core = cpus[self.conn_id % len(cpus)]
-        self._next(ctx)
-
-    def _next(self, ctx):
-        op = self.source.next_op(self.conn_id)
-        if op is None:
-            self.done = True
-            return
-        method, key_str, value = op
-        key = key_str.encode()
-        self.in_flight = (key, value)
-        self.issued_after_ack.setdefault(key, []).append(value)
-        seq = self.sent
-        self.sent += 1
-        self.world.report.attempted_puts += 1
-        self.awaiting = seq
-        self.world.client.homa.send_request(
-            SERVER_IP, PORT, build_request(method, "/" + key_str, value),
-            ctx,
-            on_reply=lambda segments, c, s=seq: self._on_reply(s, segments, c),
-        )
-        self.world.sim.schedule(self.WATCHDOG_NS, self._watchdog, seq)
-
-    def _on_reply(self, seq, segments, ctx):
-        if self.awaiting != seq:
-            return  # the watchdog already moved on; late duplicate
-        self.awaiting = None
-        parser = HttpParser(is_response=True)
-        status = None
-        for segment in segments:
-            for message in parser.feed(segment):
-                status = message.status
-                message.release()
-        parser.reset()
-        if status is not None:
-            self.world.report.responses[status] = \
-                self.world.report.responses.get(status, 0) + 1
-            if self.in_flight is not None and status == 200:
-                key, value = self.in_flight
-                self.last_acked[key] = value
-                self.issued_after_ack[key] = []
-                self.world.report.acked_puts += 1
-        self.in_flight = None
-        if not self.done:
-            self._next(ctx)
-
-    def _watchdog(self, seq):
-        if self.awaiting != seq:
-            return
-        self.awaiting = None
-        self.in_flight = None
-        self.world.report.timeouts += 1
-        if not self.done:
-            self.world.client.process_on_core(self.core, self._next)
-
-
 class OverloadStorm:
     """Build the under-provisioned testbed and run the storm."""
 
@@ -296,8 +227,6 @@ class OverloadStorm:
                  reaper_idle_ns=None, transport="tcp", cores=1, config=None,
                  source=None):
         self.connections = connections
-        self.puts_per_conn = puts_per_conn
-        self.keys_per_conn = keys_per_conn
         self.value_size = value_size
         # The storm's burst phase is a TrafficSource like any other
         # generator; passing one in substitutes the traffic (e.g. a
@@ -305,13 +234,11 @@ class OverloadStorm:
         self.source = source if source is not None else StormBurstSource(
             connections, puts_per_conn, keys_per_conn, value_size,
         )
-        self.pool_slots = pool_slots
         # Default slab sizing: enough for steady state (live keys) but
         # well short of the versions the burst creates, so the slab —
         # not just the pool — sees pressure.
         if slab_slots is None:
             slab_slots = max(64, connections * keys_per_conn * 2)
-        self.slab_slots = slab_slots
         self.stalls = stalls
         self.storm_faults = storm_faults
         self.seed = seed
@@ -341,7 +268,6 @@ class OverloadStorm:
         self.config = config
         self.transport = config.transport
         self.contain = config.contain_errors
-        self.zero_copy = config.zero_copy_get
 
         self.testbed = make_testbed(
             config=config,
@@ -355,7 +281,6 @@ class OverloadStorm:
         if self.transport == "homa":
             self.client.enable_homa()
         self.report = ChaosReport()
-        self._rng = random.Random(seed)
 
     # -- baseline / oracle ----------------------------------------------------
 
@@ -423,81 +348,18 @@ class OverloadStorm:
                 f"(stray {stray[:8]}, freed-but-referenced {missing[:8]})",
             )
 
-        # Refcount oracle: each adopted buffer's refcount equals the
-        # references the store holds on it — nothing else may be
-        # pinning storage buffers once traffic has drained.
-        held = {}
-        for refs in store._refs.values():
-            for buf in refs:
-                held[buf.slot] = held.get(buf.slot, 0) + 1
-        for slot, buf in store._buffers.items():
-            expected = held.get(slot, 0)
-            if buf.refcount != expected:
-                report.violation(
-                    "refcount:buffer",
-                    f"slot {slot}: refcount {buf.refcount}, store holds "
-                    f"{expected}",
-                )
-
+        check_refcounts(store, report)
         if self.transport == "homa":
-            self._check_span_links()
-
+            # Retransmit vacuity is recorded, not a violation: whether
+            # the squall forced retransmits depends on seed and sizing,
+            # and a quiet storm still proves liveness/durability.  The
+            # dedicated span-link test asserts retransmitted_rpcs > 0 on
+            # a seed that does storm.
+            report.retransmitted_rpcs = check_span_links(
+                self.testbed.recorder, metrics, report)
         # Durability oracle: the newest acked value (or a later issued
         # one) per key is what the store serves.
-        for conn in self._conns:
-            for key, value in conn.last_acked.items():
-                stored = self.testbed.engine.get(key)
-                allowed = [value] + conn.issued_after_ack.get(key, [])
-                if stored not in allowed:
-                    got = None if stored is None else stored[:48]
-                    report.violation(
-                        "durability",
-                        f"key {key!r}: stored {got!r} is neither the "
-                        f"acked value nor a later issued one",
-                    )
-
-    def _check_span_links(self):
-        """Span-link oracle (Homa): every retransmitted RPC resolves.
-
-        The recorder threads one chain per RPC id through the trace
-        ring (see :mod:`repro.obs.trace`).  After the storm drains,
-        each direction that retransmitted must have ended in delivery
-        or an explicit give-up — a chain that did neither is an orphan:
-        retransmit spans dangling with no terminal span.  And no
-        logical request may have run the handler twice — that would
-        double-count its stages in the live Table-1 totals (the
-        transport's completed-RPC dedup exists exactly to prevent it).
-        """
-        report = self.report
-        recorder = self.testbed.recorder
-        retransmitted = 0
-        for rpc_id, chain in recorder.chains().items():
-            for direction in ("request", "reply"):
-                side = chain[direction]
-                if side["retransmits"] == 0:
-                    continue
-                retransmitted += 1
-                if direction not in chain["delivered"] and \
-                        direction not in chain["gave_up"]:
-                    report.violation(
-                        "spanlink:orphan",
-                        f"rpc {rpc_id} {direction}: "
-                        f"{side['retransmits']} retransmit(s) but the "
-                        f"message was neither delivered nor given up",
-                    )
-        # Vacuity is recorded, not a violation: whether the squall
-        # forced retransmits depends on seed and sizing, and a quiet
-        # storm still proves liveness/durability.  The dedicated
-        # span-link test asserts retransmitted_rpcs > 0 on a seed that
-        # does storm.
-        report.retransmitted_rpcs = retransmitted
-        double = self.metrics.value("server.rpc.double_dispatch")
-        if double:
-            report.violation(
-                "spanlink:double-dispatch",
-                f"{double:.0f} RPC(s) ran the handler more than once — "
-                f"their stage costs are double-counted in Table 1",
-            )
+        self.ledger.check_durability(self.testbed.engine.get, report)
 
     def _check_vacuity(self):
         """A storm that stressed nothing proves nothing — fail loudly.
@@ -508,7 +370,7 @@ class OverloadStorm:
         issued zero requests, the fault squall was requested but never
         touched a frame, or the stall clients were requested but none
         ever reset.  (Retransmit vacuity stays advisory — see
-        :meth:`_check_span_links` — because whether the squall forces a
+        :meth:`_check_oracles` — because whether the squall forces a
         retransmit is legitimately seed-dependent; whether it drops any
         frame at all, across a multi-thousand-frame storm, is not.)
         """
@@ -541,21 +403,22 @@ class OverloadStorm:
 
     # -- phases ---------------------------------------------------------------
 
+    def _driver(self, workload, connections, ledger):
+        """Closed loops over the storm's transport that run until
+        ``workload`` is exhausted."""
+        kwargs = dict(duration_ns=math.inf, warmup_ns=0.0,
+                      workload=workload, ledger=ledger)
+        if self.transport == "homa":
+            return HomaWrkClient(self.client, SERVER_IP, PORT, connections,
+                                 watchdog_ns=WATCHDOG_NS, **kwargs)
+        return WrkClient(self.client, SERVER_IP, PORT, connections, **kwargs)
+
     def _launch(self):
-        self._conns = []
-        loop_class = _HomaBurstLoop if self.transport == "homa" else _BurstConn
-        for conn_id in range(self.connections):
-            conn = loop_class(self, conn_id, self.source)
-            self._conns.append(conn)
-            core = self.client.cpus[conn_id % len(self.client.cpus)]
-            # Stagger connection setup so the SYN flood itself doesn't
-            # serialise into one processing slice.
-            self.sim.schedule(
-                conn_id * 2_000.0,
-                lambda c=conn, co=core: self.client.process_on_core(
-                    co, c.start
-                ),
-            )
+        self.ledger = AckLedger()
+        self.burst = self._driver(self.source, self.connections, self.ledger)
+        # Stagger connection setup so the SYN flood itself doesn't
+        # serialise into one processing slice.
+        self.burst.start(stagger_ns=2_000.0)
         # Stall clients are a TCP stream phenomenon (half a request
         # parked in the server's parser); Homa messages are atomic, so
         # the storm skips them there.
@@ -595,44 +458,20 @@ class OverloadStorm:
 
     def _probe(self):
         """Post-storm liveness: a fresh request must get an answer."""
-        probe_key = next(
-            (conn.keys[0] for conn in self._conns if conn.keys), b"probe"
-        )
-        result = {"status": None}
-        parser = HttpParser(is_response=True)
-        request = build_request("GET", "/" + probe_key.decode())
-
-        def start_tcp(ctx):
-            sock = self.client.stack.connect(SERVER_IP, PORT, ctx)
-
-            def on_data(s, segment, c):
-                for message in parser.feed(segment):
-                    result["status"] = message.status
-                    message.release()
-                    s.close(c)
-
-            sock.on_data = on_data
-            sock.on_established = lambda s, c: s.send(request, c)
-
-        def start_homa(ctx):
-            def on_reply(segments, c):
-                for segment in segments:
-                    for message in parser.feed(segment):
-                        result["status"] = message.status
-                        message.release()
-
-            self.client.homa.send_request(SERVER_IP, PORT, request, ctx,
-                                          on_reply=on_reply)
-
-        start = start_homa if self.transport == "homa" else start_tcp
-        self.client.process_on_core(self.client.cpus[0], start)
+        keys_for = getattr(self.source, "keys_for", None)
+        keys = [key for conn_id in range(self.connections)
+                for key in keys_for(conn_id)] if keys_for else []
+        key = keys[0] if keys else "probe"
+        probe = self._driver(ListSource([("GET", key, None)]), 1,
+                             AckLedger())
+        probe.start()
         self.sim.run_until_idle(max_events=self.max_events)
-        self.report.probe_ok = result["status"] in (200, 404, 503)
+        status = probe.stats.reads.get(key.encode(), (None, None))[0]
+        self.report.probe_ok = status in (200, 404, 503)
         if not self.report.probe_ok:
             self.report.violation(
                 "liveness:probe",
-                f"post-storm GET got {result['status']!r} "
-                "(expected 200/404/503)",
+                f"post-storm GET got {status!r} (expected 200/404/503)",
             )
 
     # -- run ------------------------------------------------------------------
@@ -651,6 +490,7 @@ class OverloadStorm:
             self._finalize()
             return self.report
 
+        self._finalize()
         if self.report.acked_puts == 0:
             self.report.violation(
                 "liveness:no-progress", "not a single PUT was acked"
@@ -663,18 +503,17 @@ class OverloadStorm:
                 "storm never triggered shedding — the world is not "
                 "under-provisioned enough to test anything",
             )
-        dead = sum(1 for c in self._conns if c.in_flight is not None
-                   and not c.done)
+        dead = self.burst.stalled()
         if dead:
             self.report.violation(
                 "liveness:stalled",
                 f"{dead} connection(s) still awaiting a response at idle",
             )
         self._check_oracles()
-        self._finalize()
         return self.report
 
     def _finalize(self):
+        self.report.tally(self.ledger)
         self.report.server_stats = dict(self.testbed.kv.stats)
         if self.overload is not None:
             self.report.overload_stats = dict(self.overload.stats)
@@ -776,26 +615,29 @@ def _main_cluster(args):
         seed=args.seed,
         max_events=args.max_events,
     )
+    return _exit_status(report, args, "cluster-chaos", "failover",
+                        "acked puts survived the host kill, refcounts "
+                        "exact, traces stitched")
+
+
+def _exit_status(report, args, tag, contract, held):
+    """Print the report; 0 when it matches ``--expect-violations``."""
     print(report.summary())
     if args.expect_violations:
         if report.ok:
-            print("[cluster-chaos] FAIL: expected violations, storm was "
-                  "clean")
+            print(f"[{tag}] FAIL: expected violations, storm was clean")
             return 1
-        print(f"[cluster-chaos] OK: gap detected "
-              f"({len(report.violations)} violations, as expected)")
+        print(f"[{tag}] OK: gap detected ({len(report.violations)} "
+              f"violations, as expected)")
         return 0
     if not report.ok:
-        print("[cluster-chaos] FAIL: failover contract violated")
+        print(f"[{tag}] FAIL: {contract} contract violated")
         return 1
-    print("[cluster-chaos] OK: acked puts survived the host kill, "
-          "refcounts exact, traces stitched")
+    print(f"[{tag}] OK: {held}")
     return 0
 
 
 def main(argv=None):
-    import sys
-
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.cluster:
@@ -823,21 +665,9 @@ def main(argv=None):
         seed=args.seed,
         max_events=args.max_events,
     )
-    print(report.summary())
-
-    if args.expect_violations:
-        if report.ok:
-            print("[chaos] FAIL: expected violations, storm was clean")
-            return 1
-        print(f"[chaos] OK: containment gap detected "
-              f"({len(report.violations)} violations, as expected)")
-        return 0
-    if not report.ok:
-        print("[chaos] FAIL: overload contract violated")
-        return 1
-    print("[chaos] OK: server stayed live, acked writes durable, "
-          "no leaks after the storm")
-    return 0
+    return _exit_status(report, args, "chaos", "overload",
+                        "server stayed live, acked writes durable, no "
+                        "leaks after the storm")
 
 
 if __name__ == "__main__":

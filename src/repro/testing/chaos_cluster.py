@@ -28,10 +28,14 @@ case the squall of traffic misses the corpse.  Then the oracles:
   a shard the victim owned has tested nothing, and fails loudly.
 """
 
-from repro.bench.workloads import StormBurstSource
+import math
+
+from repro.bench.workloads import ListSource, StormBurstSource
+from repro.bench.wrk import AckLedger, HomaWrkClient
 from repro.cluster.topology import ClusterConfig, build_cluster
-from repro.net.http import HttpParser, build_request
 from repro.sim.units import MILLIS
+from repro.testing.chaos import StormReport, check_refcounts, \
+    check_span_links
 
 #: Per-attempt client watchdog.  Far below Homa's 50 ms give-up: the
 #: router's failure detection is driven by these expiries, and two of
@@ -39,38 +43,33 @@ from repro.sim.units import MILLIS
 WATCHDOG_NS = 10 * MILLIS
 
 #: Attempts per logical put before the loop abandons it (counted).
+#: Each attempt re-routes through the live ring, so after the failover
+#: the same key lands on the promoted backup.
 MAX_ATTEMPTS = 8
 
 
-class ClusterChaosReport:
+class ClusterChaosReport(StormReport):
     """Outcome of one host-kill storm."""
 
+    TAG = "cluster-chaos"
+    HELD = "contract held: every acked put survived the host that acked it"
+
     def __init__(self):
-        self.violations = []
-        self.responses = {200: 0, 503: 0, 507: 0, 400: 0, 404: 0}
-        self.attempted_puts = 0
-        self.acked_puts = 0
-        self.acked_by_phase = {"pre": 0, "kill": 0, "post": 0}
-        self.retries = 0
-        self.timeouts = 0
-        self.give_ups = 0
-        self.abandoned_puts = 0
-        self.crashed = None
+        super().__init__()
         self.victim = None
         self.kills = 0
         self.failovers = 0
         self.failover_by = None       # "router" or "failsafe"
         self.stitched_families = 0
         self.degraded_acks = 0
-        self.probe_ok = False
         self.repl_stats = {}
 
-    @property
-    def ok(self):
-        return not self.violations
-
-    def violation(self, kind, detail):
-        self.violations.append((kind, detail))
+    def tally(self, ledger):
+        super().tally(ledger)
+        self.acked_by_phase = {"pre": 0, "kill": 0, "post": 0,
+                               **ledger.acked_by_phase}
+        self.retries = ledger.retries
+        self.abandoned_puts = ledger.abandoned
 
     def summary(self):
         lines = [
@@ -91,146 +90,7 @@ class ClusterChaosReport:
             lines.append("[cluster-chaos] replication: " + ", ".join(
                 f"{k} {v}" for k, v in sorted(self.repl_stats.items())
                 if not k.startswith("lag")))
-        if self.crashed is not None:
-            lines.append(f"[cluster-chaos] CRASH: {self.crashed!r}")
-        if self.violations:
-            lines.append(
-                f"[cluster-chaos] {len(self.violations)} violation(s):")
-            for kind, detail in self.violations[:10]:
-                lines.append(f"[cluster-chaos]   {kind}: {detail}")
-            if len(self.violations) > 10:
-                lines.append(
-                    f"[cluster-chaos]   ... {len(self.violations) - 10} more")
-        else:
-            lines.append("[cluster-chaos] contract held: every acked put "
-                         "survived the host that acked it")
-        return "\n".join(lines)
-
-
-class _ShardLoop:
-    """One closed-loop requester, routed by the live ring each attempt.
-
-    A put retries (same key, same value) after a watchdog expiry or a
-    transport give-up, re-routing each time — after the failover the
-    same key lands on the promoted backup.  Ack bookkeeping mirrors the
-    single-host storm: the durability oracle accepts the newest acked
-    value or any value issued after it.
-    """
-
-    def __init__(self, world, loop_id, source):
-        self.world = world
-        self.loop_id = loop_id
-        self.source = source
-        self.keys = [key.encode() for key in source.keys_for(loop_id)]
-        self.sent = 0
-        self.done = False
-        self.core = None
-        self.awaiting = None          # (seq, attempt) of the live RPC
-        self.attempt = 0
-        self.in_flight = None         # (key, value) awaiting its reply
-        self.last_acked = {}          # key -> newest acked value
-        self.acked_rpcs = {}          # key -> rpc_id of the acking attempt
-        self.acked_phase = {}         # key -> storm phase at ack time
-        self.issued_after_ack = {}    # key -> [values issued after last ack]
-        self.target = None            # node name of the current attempt
-
-    def start(self, ctx):
-        cpus = self.world.client.cpus
-        self.core = cpus[self.loop_id % len(cpus)]
-        self._next(ctx)
-
-    def resume(self, extra_puts, ctx):
-        """Second burst: the same loop issues ``extra_puts`` more."""
-        self.source.extend(self.loop_id, extra_puts)
-        if self.done:
-            self.done = False
-            self._next(ctx)
-
-    def _next(self, ctx):
-        op = self.source.next_op(self.loop_id)
-        if op is None:
-            self.done = True
-            return
-        _method, key_str, value = op
-        key = key_str.encode()
-        self.in_flight = (key, value)
-        self.issued_after_ack.setdefault(key, []).append(value)
-        self.sent += 1
-        self.attempt = 0
-        self.world.report.attempted_puts += 1
-        self._fire(key, value, ctx)
-
-    def _fire(self, key, value, ctx):
-        seq = self.sent - 1
-        token = (seq, self.attempt)
-        self.awaiting = token
-        self.target = self.world.router.primary(key)
-        ip = self.world.router.ip_of(self.target)
-        rpc_id = self.world.client.homa.send_request(
-            ip, self.world.port,
-            build_request("PUT", "/" + key.decode(), value), ctx,
-            on_reply=lambda segments, c, t=token: self._on_reply(
-                t, segments, c),
-            on_giveup=lambda _rpc, t=token: self._on_giveup(t),
-        )
-        self._rpc_id = rpc_id
-        self.world.sim.schedule(WATCHDOG_NS, self._watchdog, token)
-
-    def _retry(self, ctx):
-        key, value = self.in_flight
-        if self.attempt + 1 >= MAX_ATTEMPTS:
-            self.world.report.abandoned_puts += 1
-            self.in_flight = None
-            self._next(ctx)
-            return
-        self.attempt += 1
-        self.world.report.retries += 1
-        self._fire(key, value, ctx)
-
-    def _on_reply(self, token, segments, ctx):
-        if self.awaiting != token:
-            return  # superseded attempt; a retry already took over
-        self.awaiting = None
-        self.world.router.report_success(self.target)
-        parser = HttpParser(is_response=True)
-        status = None
-        for segment in segments:
-            for message in parser.feed(segment):
-                status = message.status
-                message.release()
-        parser.reset()
-        if status is not None:
-            self.world.report.responses[status] = \
-                self.world.report.responses.get(status, 0) + 1
-            if self.in_flight is not None and status == 200:
-                key, value = self.in_flight
-                self.last_acked[key] = value
-                self.acked_rpcs[key] = self._rpc_id
-                self.acked_phase[key] = self.world.phase
-                self.issued_after_ack[key] = []
-                self.world.report.acked_puts += 1
-                self.world.report.acked_by_phase[self.world.phase] += 1
-        self.in_flight = None
-        if not self.done:
-            self._next(ctx)
-
-    def _on_giveup(self, token):
-        """The transport declared the peer dead (abort_peer/failover):
-        skip the rest of the watchdog wait and retry immediately."""
-        if self.awaiting != token:
-            return
-        self.awaiting = None
-        self.world.report.give_ups += 1
-        self.world.report_failure(self.target)
-        self.world.client.process_on_core(self.core, self._retry)
-
-    def _watchdog(self, token):
-        if self.awaiting != token:
-            return
-        self.awaiting = None
-        self.world.report.timeouts += 1
-        self.world.report_failure(self.target)
-        self.world.client.process_on_core(self.core, self._retry)
+        return self._render(lines)
 
 
 class HostKillStorm:
@@ -252,9 +112,6 @@ class HostKillStorm:
         self.config = config
         self.loops = loops
         self.puts_per_loop = puts_per_loop
-        self.keys_per_loop = keys_per_loop
-        self.value_size = value_size
-        self.seed = seed
         self.kill_delay_ns = kill_delay_ns
         self.failsafe_ns = failsafe_ns
         self.max_events = max_events
@@ -275,23 +132,32 @@ class HostKillStorm:
         self.metrics = self.cluster.metrics
         self.port = config.port
         self.report = ClusterChaosReport()
-        self.phase = "pre"
+        self._node_of = {node.ip: name
+                         for name, node in self.cluster.nodes.items()}
+        self.ledger = AckLedger(on_peer=self._peer_result)
+        self.ledger.phase = "pre"
         self.victim = None
-        self._conns = []
+        self._bursts = []
 
     # -- phase / failure plumbing ---------------------------------------------
 
-    def report_failure(self, name):
-        """Loop-observed failure; a router-triggered failover flips the
+    def _route(self, key):
+        return self.router.ip_of(self.router.primary(key))
+
+    def _peer_result(self, ip, ok):
+        """Loop-observed outcome; a router-triggered failover flips the
         storm into its post-failover phase."""
-        if self.router.report_failure(name):
-            self.phase = "post"
+        name = self._node_of[ip]
+        if ok:
+            self.router.report_success(name)
+        elif self.router.report_failure(name):
+            self.ledger.phase = "post"
             if self.report.failover_by is None:
                 self.report.failover_by = "router"
 
     def _kill_victim(self):
         self.cluster.kill(self.victim)
-        self.phase = "kill"
+        self.ledger.phase = "kill"
 
     def _failsafe(self):
         """Detection bound: if the router hasn't evicted the victim by
@@ -299,92 +165,69 @@ class HostKillStorm:
         control plane's timer does."""
         if self.victim in self.cluster.ring.alive:
             self.cluster.failover(self.victim)
-            self.phase = "post"
+            self.ledger.phase = "post"
             if self.report.failover_by is None:
                 self.report.failover_by = "failsafe"
 
     # -- phases ---------------------------------------------------------------
 
-    def _launch(self):
-        for loop_id in range(self.loops):
-            loop = _ShardLoop(self, loop_id, self.source)
-            self._conns.append(loop)
-            core = self.client.cpus[loop_id % len(self.client.cpus)]
-            self.sim.schedule(
-                loop_id * 2_000.0,
-                lambda c=loop, co=core: self.client.process_on_core(
-                    co, c.start),
-            )
+    def _driver(self, workload, loops, ledger):
+        """Closed Homa loops routed by the live ring, one watchdog per
+        attempt, until ``workload`` is exhausted."""
+        return HomaWrkClient(
+            self.client, None, self.port, loops, duration_ns=math.inf,
+            warmup_ns=0.0, route=self._route, workload=workload,
+            ledger=ledger, watchdog_ns=WATCHDOG_NS, attempts=MAX_ATTEMPTS,
+        )
+
+    def _burst(self):
+        burst = self._driver(self.source, self.loops, self.ledger)
+        self._bursts.append(burst)
+        burst.start(stagger_ns=2_000.0)
 
     def _pick_victim(self):
         """The primary owning the most loop keys: guaranteed to hold
         acked data, so its death puts the durability claim on trial."""
+        keys = [key.encode() for loop_id in range(self.loops)
+                for key in self.source.keys_for(loop_id)]
         owned = {}
-        for loop in self._conns:
-            for key in loop.keys:
-                owned[self.router.primary(key)] = \
-                    owned.get(self.router.primary(key), 0) + 1
+        for key in keys:
+            owned[self.router.primary(key)] = \
+                owned.get(self.router.primary(key), 0) + 1
         self.victim = max(sorted(owned), key=lambda n: owned[n])
         self.report.victim = self.victim
-        self._victim_keys = [
-            key for loop in self._conns for key in loop.keys
-            if self.router.primary(key) == self.victim
-        ]
+        self._victim_keys = [key for key in keys
+                             if self.router.primary(key) == self.victim]
 
     def _second_burst(self):
         """The post-kill burst: every loop issues the same count again,
         retrying through detection and failover."""
-        for loop in self._conns:
-            core = self.client.cpus[loop.loop_id % len(self.client.cpus)]
-            self.sim.schedule(
-                loop.loop_id * 2_000.0,
-                lambda c=loop, co=core: self.client.process_on_core(
-                    co, lambda ctx: c.resume(self.puts_per_loop, ctx)),
-            )
+        for loop_id in range(self.loops):
+            self.source.extend(loop_id, self.puts_per_loop)
+        self._burst()
         self.sim.schedule(self.kill_delay_ns, self._kill_victim)
         self.sim.schedule(self.failsafe_ns, self._failsafe)
 
     def _probe(self):
         """End-to-end read-your-acked-writes: GET a victim-owned key
         over the network from whatever the ring now routes to."""
-        probed = None
-        for loop in self._conns:
-            for key in self._victim_keys:
-                if key in loop.last_acked:
-                    probed = (key, loop)
-                    break
-            if probed:
-                break
-        if probed is None:
+        acked = self.ledger.last_acked
+        key = next((k for k in self._victim_keys if k in acked), None)
+        if key is None:
             return  # the vacuity oracle flags this separately
-        key, loop = probed
-        allowed = [loop.last_acked[key]] + loop.issued_after_ack.get(key, [])
-        result = {"status": None, "body": None}
-        parser = HttpParser(is_response=True)
-        ip = self.router.ip_of(self.router.primary(key))
-
-        def on_reply(segments, c):
-            for segment in segments:
-                for message in parser.feed(segment):
-                    result["status"] = message.status
-                    result["body"] = message.body
-                    message.release()
-
-        self.client.process_on_core(
-            self.client.cpus[0],
-            lambda ctx: self.client.homa.send_request(
-                ip, self.port, build_request("GET", "/" + key.decode()),
-                ctx, on_reply=on_reply),
-        )
+        allowed = [acked[key]] + self.ledger.issued_after_ack[key]
+        probe = self._driver(ListSource([("GET", key.decode(), None)]), 1,
+                             AckLedger())
+        probe.start()
         self.sim.run_until_idle(max_events=self.max_events)
-        self.report.probe_ok = (result["status"] == 200
-                                and result["body"] in allowed)
+        status, body = probe.stats.reads.get(key, (None, None))
+        self.report.probe_ok = status == 200 and body in allowed
         if not self.report.probe_ok:
             self.report.violation(
                 "durability:probe",
-                f"post-failover GET /{key.decode()} got "
-                f"{result['status']!r} — the promoted primary does not "
-                f"serve the acked put over the network",
+                f"post-failover GET /{key.decode()} got {status!r} — the "
+                f"promoted primary does not serve the acked put over the "
+                f"network",
             )
 
     # -- oracles --------------------------------------------------------------
@@ -404,8 +247,7 @@ class HostKillStorm:
                         f"{node.name} core {index} still has "
                         f"{queued:.0f} ns of queued work after the drain",
                     )
-        stalled = sum(1 for c in self._conns
-                      if c.in_flight is not None and not c.done)
+        stalled = sum(burst.stalled() for burst in self._bursts)
         if stalled:
             report.violation(
                 "liveness:stalled",
@@ -425,20 +267,8 @@ class HostKillStorm:
                     f"store.owned = {owned:.0f}",
                 )
             store = getattr(node.engine, "store", None)
-            if store is None:
-                continue
-            held = {}
-            for refs in store._refs.values():
-                for buf in refs:
-                    held[buf.slot] = held.get(buf.slot, 0) + 1
-            for slot, buf in store._buffers.items():
-                expected = held.get(slot, 0)
-                if buf.refcount != expected:
-                    report.violation(
-                        "refcount:buffer",
-                        f"{node.name} slot {slot}: refcount "
-                        f"{buf.refcount}, store holds {expected}",
-                    )
+            if store is not None:
+                check_refcounts(store, report, where=f"{node.name} ")
 
         self._check_span_stitching()
         self._check_durability()
@@ -447,70 +277,36 @@ class HostKillStorm:
     def _check_durability(self):
         """Every acked put is readable from the key's current primary —
         including every key the dead host used to own."""
-        for loop in self._conns:
-            for key, value in loop.last_acked.items():
-                stored = self.cluster.read_value(key)
-                allowed = [value] + loop.issued_after_ack.get(key, [])
-                if stored not in allowed:
-                    got = None if stored is None else bytes(stored[:48])
-                    owner = self.router.primary(key)
-                    report_kind = ("durability:failover"
-                                   if key in self._victim_keys
-                                   else "durability")
-                    self.report.violation(
-                        report_kind,
-                        f"key {key!r} (now on {owner}): stored {got!r} "
-                        f"is neither the acked value nor a later issued "
-                        f"one",
-                    )
+        self.ledger.check_durability(
+            self.cluster.read_value, self.report,
+            kind=lambda key: ("durability:failover"
+                              if key in self._victim_keys else "durability"),
+        )
 
     def _check_span_stitching(self):
         """One request, one trace — across hosts, kills and retries."""
         report = self.report
         recorder = self.recorder
-
-        # Orphans: any retransmitted direction must have ended in
-        # delivery or a terminal give-up (abort_peer covers messages
-        # aimed at — or half-received from — the corpse).
-        for rpc_id, chain in recorder.chains().items():
-            for direction in ("request", "reply"):
-                if chain[direction]["retransmits"] == 0:
-                    continue
-                if direction not in chain["delivered"] and \
-                        direction not in chain["gave_up"]:
-                    report.violation(
-                        "spanlink:orphan",
-                        f"rpc {rpc_id} {direction}: "
-                        f"{chain[direction]['retransmits']} retransmit(s) "
-                        f"but neither delivered nor given up",
-                    )
+        # Orphans and double dispatch (abort_peer's terminal give-ups
+        # cover messages aimed at — or half-received from — the corpse).
+        check_span_links(recorder, self.metrics, report)
 
         # Stitching: an acked put outside the detection window had a
         # live backup, so its origin RPC must trace into at least one
         # replication RPC.  (Kill-window acks may legitimately have
         # degraded via the suspect fast-path without a forward.)
         families = 0
-        for loop in self._conns:
-            for key, rpc_id in loop.acked_rpcs.items():
-                stitched = recorder.stitched(rpc_id)
-                if len(stitched) > 1:
-                    families += 1
-                elif loop.acked_phase.get(key) in ("pre", "post") and \
-                        len(self.cluster.ring.alive) >= 2:
-                    report.violation(
-                        "spanlink:unstitched",
-                        f"key {key!r}: acked rpc {rpc_id} "
-                        f"({loop.acked_phase.get(key)}-phase) has no "
-                        f"replication hop in its trace",
-                    )
+        for key, (rpc_id, phase) in self.ledger.acks.items():
+            if len(recorder.stitched(rpc_id)) > 1:
+                families += 1
+            elif phase in ("pre", "post") and \
+                    len(self.cluster.ring.alive) >= 2:
+                report.violation(
+                    "spanlink:unstitched",
+                    f"key {key!r}: acked rpc {rpc_id} ({phase}-phase) has "
+                    f"no replication hop in its trace",
+                )
         report.stitched_families = families
-
-        double = self.metrics.value("server.rpc.double_dispatch")
-        if double:
-            report.violation(
-                "spanlink:double-dispatch",
-                f"{double:.0f} RPC(s) ran a handler more than once",
-            )
 
     def _check_vacuity(self):
         """A kill storm that killed nothing, detected nothing or acked
@@ -542,9 +338,8 @@ class HostKillStorm:
                 "zero puts were acked after the failover — promotion "
                 "was never exercised by live traffic",
             )
-        victim_acked = sum(
-            1 for loop in self._conns for key in loop.last_acked
-            if key in self._victim_keys)
+        victim_acked = sum(1 for key in self.ledger.last_acked
+                           if key in self._victim_keys)
         if victim_acked == 0:
             report.violation(
                 "vacuous:victim-untouched",
@@ -555,7 +350,7 @@ class HostKillStorm:
     # -- run ------------------------------------------------------------------
 
     def run(self):
-        self._launch()
+        self._burst()
         try:
             self.sim.run_until_idle(max_events=self.max_events)
             self._pick_victim()
@@ -567,11 +362,12 @@ class HostKillStorm:
             self.report.violation("crash", f"{type(exc).__name__}: {exc}")
             self._finalize()
             return self.report
-        self._check_oracles()
         self._finalize()
+        self._check_oracles()
         return self.report
 
     def _finalize(self):
+        self.report.tally(self.ledger)
         totals = {}
         for node in self.cluster.nodes.values():
             for key, value in node.replicator.stats.items():
