@@ -5,9 +5,8 @@ Exit codes: 0 clean (suppressions allowed), 1 findings (or a blown
 planted-example negative checks instead of linting — CI runs it first
 so a silently broken rule cannot greenlight the tree.
 
-The interprocedural pass (call graph + effect summaries, rules PM-I01
-and REF-I01) is on by default and supersedes PM-W01/REF-01; turn it
-off with ``--no-interprocedural`` or pick rules with ``--select``.
+Every run includes the interprocedural pass (call graph + effect
+summaries, rules PM-I01 and REF-I01); pick rules with ``--select``.
 ``--fix`` applies the mechanical CTX-01/SUP-01 rewrites (``--diff``
 previews without writing); ``--format sarif`` emits GitHub
 code-scanning input.
@@ -75,10 +74,6 @@ def main(argv=None):
                              "example (the lint negative check)")
     parser.add_argument("--no-hints", action="store_true",
                         help="omit fix hints from the output")
-    parser.add_argument("--no-interprocedural", dest="interprocedural",
-                        action="store_false", default=True,
-                        help="skip the whole-program pass (PM-I01/REF-I01) "
-                             "and run the superseded local rules instead")
     parser.add_argument("--fix", action="store_true",
                         help="apply mechanical CTX-01/SUP-01 rewrites "
                              "instead of reporting")
@@ -133,8 +128,7 @@ def main(argv=None):
     started = time.monotonic()  # pmlint: disable=DET-01 — the --max-seconds CI budget measures real wall-clock by design
     try:
         report = pmlint.run_lint(
-            args.paths, select=select,
-            interprocedural=args.interprocedural, cache_path=cache_path,
+            args.paths, select=select, cache_path=cache_path,
         )
     except (FileNotFoundError, SyntaxError) as exc:
         parser.error(str(exc))

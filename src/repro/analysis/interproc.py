@@ -1,15 +1,13 @@
 """Interprocedural dataflow engine for PMLint.
 
 The intraprocedural rules (:mod:`repro.analysis.rules`) judge one
-function body at a time, which forces blanket exemptions exactly where
-the interesting bugs hide: a helper taking a ``fence=`` parameter
-defers the ordering decision to its caller, so PM-W01 must skip it —
-and then nobody checks that *some caller actually fences*.  Likewise
-REF-01 demands a ``try`` around every alloc, even in functions that
-hold no other references and therefore cannot leak anything when the
-alloc unwinds.
+function body at a time, which cannot see where the interesting bugs
+hide: a helper taking a ``fence=`` parameter defers the ordering
+decision to its caller, so only the callers can tell whether *some
+caller actually fences*; and whether an allocation leaks when a later
+call unwinds depends on what the callees release.
 
-This module replaces those exemptions with whole-program reasoning:
+This module answers both with whole-program reasoning:
 
 1. **Program index / call graph** (:class:`Program`).  Every function
    and method under the linted tree, with call edges resolved by (in

@@ -9,7 +9,7 @@ claims — the negative check CI runs.
 
 Suppressions are inline and **must carry a reason**::
 
-    self.region.flush(addr, 4, ctx, "persist")  # pmlint: disable=PM-W01 — reachability is the commit point
+    self.region.write(addr, blob)  # pmlint: disable=PM-W02 — the caller persists the whole record
 
 A suppression with no reason is itself a finding (``SUP-01``).  A
 comment-only suppression line covers the next source line; a trailing
@@ -165,30 +165,6 @@ def method_calls(node):
     return calls
 
 
-def enclosing_tries(func_node):
-    """Line spans of try-block bodies and handlers inside ``func_node``."""
-    spans = []
-    for child in ast.walk(func_node):
-        if isinstance(child, ast.Try):
-            last = child.body[-1]
-            spans.append((child.body[0].lineno,
-                          getattr(last, "end_lineno", last.lineno)))
-            for handler in child.handlers:
-                if handler.body:
-                    last = handler.body[-1]
-                    spans.append((handler.body[0].lineno,
-                                  getattr(last, "end_lineno", last.lineno)))
-            if child.finalbody:
-                last = child.finalbody[-1]
-                spans.append((child.finalbody[0].lineno,
-                              getattr(last, "end_lineno", last.lineno)))
-    return spans
-
-
-def inside_any(lineno, spans):
-    return any(start <= lineno <= end for start, end in spans)
-
-
 def arg_names(func_node):
     args = func_node.args
     names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
@@ -231,14 +207,6 @@ class Rule:
         return out
 
 
-#: Intraprocedural rules superseded by a whole-program rule.  When the
-#: interprocedural pass runs (the default), these stay off unless the
-#: user --selects them explicitly: their blanket exemptions (forwarder
-#: names, fence= deferral, "every alloc needs a try") are exactly what
-#: PM-I01/REF-I01 replace with call-chain reasoning.
-SUPERSEDED_BY_INTERPROC = frozenset({"PM-W01", "REF-01"})
-
-
 def iter_rules(select=None):
     import repro.analysis.rules  # noqa: F401 — populate the registry
     import repro.analysis.rules_interproc  # noqa: F401
@@ -248,23 +216,17 @@ def iter_rules(select=None):
             yield RULES[rule_id]()
 
 
-def lint_module(module, select=None, interprocedural=False):
+def lint_module(module, select=None):
     """All findings (active + suppressed) for one parsed module.
 
     Suppression-syntax findings (SUP-01) are emitted by the SUP-01 rule
     itself, so selecting rules also selects whether they are reported.
-    Interprocedural rules never run here (they need the whole program);
-    with ``interprocedural`` set, the rules they supersede are skipped
-    too unless explicitly selected.
+    Interprocedural rules never run here (they need the whole program).
     """
     found = []
     for rule in iter_rules(select):
-        if rule.interprocedural:
-            continue
-        if (interprocedural and select is None
-                and rule.id in SUPERSEDED_BY_INTERPROC):
-            continue
-        found.extend(rule.check(module))
+        if not rule.interprocedural:
+            found.extend(rule.check(module))
     return found
 
 
@@ -296,23 +258,21 @@ def collect_files(paths):
     return sorted(set(files))
 
 
-def run_lint(paths, select=None, root=None, interprocedural=True,
-             cache_path=None):
+def run_lint(paths, select=None, root=None, cache_path=None):
     """Lint files/directories; returns an :class:`AnalysisReport`.
 
-    ``interprocedural`` (the default) additionally builds the
-    whole-program call graph and runs PM-I01/REF-I01, superseding
-    PM-W01/REF-01; ``cache_path`` names the per-file summary cache.
+    After the per-module rules, builds the whole-program call graph and
+    runs the interprocedural rules (PM-I01/REF-I01); ``cache_path``
+    names the per-file summary cache.
     """
     report = AnalysisReport(tool="pmlint")
     modules = []
     for path in collect_files(paths):
         module = ModuleSource.load(path, root=root)
         modules.append(module)
-        report.extend(lint_module(module, select,
-                                  interprocedural=interprocedural))
+        report.extend(lint_module(module, select))
         report.files_checked += 1
-    if interprocedural and modules:
+    if modules:
         found, _program = lint_program(modules, select,
                                        cache_path=cache_path)
         report.extend(found)

@@ -7,24 +7,17 @@ version: subclass :class:`~repro.analysis.pmlint.Rule`, decorate with
 snippet the rule detects plus a ``GOOD`` snippet it stays silent on —
 ``repro-lint --self-test`` fails the build if either stops holding.
 
-The rules are heuristic (textual order approximates domination; no
-inter-procedural data flow).  That is deliberate: the repo's
-persistence protocols are written so that the *local* shape of a
-function is enough to judge it — a commit helper that flushes must
-fence (or take a ``fence=`` parameter so its caller decides), an
-allocation on a packet path must sit in a try.  Where a function is
-correct for a non-local reason, the suppression comment records that
-reason in place.
+The rules here are local heuristics (textual order approximates
+domination): a PM store must be written back in the function that made
+it (or the function takes a ``fence=`` parameter so its caller
+decides).  The questions that need call chains — does some caller
+fence this flush, is this buffer released on every path — are asked by
+the whole-program rules in :mod:`repro.analysis.rules_interproc`.
+Where a function is correct for a non-local reason, the suppression
+comment records that reason in place.
 """
 
-from repro.analysis.pmlint import (
-    Rule,
-    arg_names,
-    enclosing_tries,
-    inside_any,
-    method_calls,
-    register,
-)
+from repro.analysis.pmlint import Rule, arg_names, method_calls, register
 
 #: Function names that merely forward persistence calls down a layer
 #: (Region.flush -> device.flush, ...).  Their bodies are the mechanism
@@ -78,52 +71,6 @@ def _persistence_events(func_node):
 
 
 @register
-class FlushWithoutFence(Rule):
-    """A flushed store is not durable until the fence drains it."""
-
-    id = "PM-W01"
-    title = "flush with no later fence/persist in the same function"
-    severity = "warn"
-    hint = ("clwb without sfence only *schedules* write-back — follow the "
-            "flush with .fence(ctx) or use .persist(...), or take a "
-            "fence= parameter if the caller owns the ordering decision")
-
-    BAD = (
-        "class Slab:\n"
-        "    def commit(self, ctx):\n"
-        "        self.region.write(0, b'x', ctx)\n"
-        "        self.region.flush(0, 1, ctx, 'persist')\n"
-        "        self.committed = True\n"
-    )
-    GOOD = (
-        "class Slab:\n"
-        "    def commit(self, ctx):\n"
-        "        self.region.write(0, b'x', ctx)\n"
-        "        self.region.flush(0, 1, ctx, 'persist')\n"
-        "        self.region.fence(ctx)\n"
-        "        self.committed = True\n"
-    )
-
-    def check(self, module):
-        for func, qualname in module.functions():
-            if func.name in FORWARDER_NAMES or _defers_to_caller(func):
-                continue
-            events = _persistence_events(func)
-            for index, (kind, call) in enumerate(events):
-                if kind != "flush":
-                    continue
-                drained = any(
-                    later_kind in ("fence", "persist")
-                    for later_kind, _ in events[index + 1:]
-                )
-                if not drained:
-                    yield self.finding(
-                        module, call.lineno,
-                        f"{qualname} flushes but never fences afterwards",
-                    )
-
-
-@register
 class WriteWithoutWriteback(Rule):
     """A PM store that is never flushed sits dirty in the cache model."""
 
@@ -172,71 +119,6 @@ class WriteWithoutWriteback(Rule):
                         module, call.lineno,
                         f"{qualname} writes a PM region but never "
                         f"flushes it",
-                    )
-
-
-@register
-class UnguardedPacketAlloc(Rule):
-    """Allocation failure on a packet path must not unwind the stack."""
-
-    id = "REF-01"
-    title = "pool/slab alloc outside try on a packet-processing path"
-    severity = "warn"
-    hint = ("PoolExhausted/SlabExhausted escaping a receive or timer "
-            "slice leaks every reference the frames above hold — wrap "
-            "the alloc in try/except (drop, degrade, or 503) like "
-            "nic.on_wire and tcp._emit_segment do")
-
-    #: Setup/recovery entry points run before traffic exists; an
-    #: exhausted pool there is a configuration error and *should* raise.
-    #: A function literally named ``alloc`` is the allocation primitive
-    #: itself (PktBuf.alloc, BufferPool.alloc) — the rule applies to its
-    #: call sites, not its body.
-    EXEMPT_FUNCTIONS = frozenset({
-        "create", "recover", "reattach", "open_or_create", "main",
-        "__init__", "setup", "from_config", "alloc",
-    })
-    #: Only packet-processing layers; testing/ and bench setup allocate
-    #: eagerly on purpose.
-    PATH_SCOPE = ("/net/", "/core/", "/storage/")
-
-    BAD_PATH = "src/repro/net/_selftest.py"
-    BAD = (
-        "class Proto:\n"
-        "    def _build(self, ctx):\n"
-        "        pkt = PktBuf.alloc(self.tx_pool, 64, ctx)\n"
-        "        return pkt\n"
-    )
-    GOOD = (
-        "class Proto:\n"
-        "    def _build(self, ctx):\n"
-        "        try:\n"
-        "            pkt = PktBuf.alloc(self.tx_pool, 64, ctx)\n"
-        "        except PoolExhausted:\n"
-        "            return None\n"
-        "        return pkt\n"
-    )
-
-    def _in_scope(self, module):
-        path = str(module.path).replace("\\", "/")
-        return any(part in path for part in self.PATH_SCOPE)
-
-    def check(self, module):
-        if not self._in_scope(module):
-            return
-        for func, qualname in module.functions():
-            if func.name in self.EXEMPT_FUNCTIONS:
-                continue
-            spans = enclosing_tries(func)
-            for call, name, receiver in method_calls(func):
-                if name != "alloc":
-                    continue
-                if not inside_any(call.lineno, spans):
-                    yield self.finding(
-                        module, call.lineno,
-                        f"{qualname} calls "
-                        f"{receiver + '.' if receiver else ''}alloc() "
-                        f"outside any try block",
                     )
 
 
@@ -358,8 +240,8 @@ class SuppressionHygiene(Rule):
 
     # The marker string is split so the linter's own source does not
     # read as a suppression comment when it lints itself.
-    BAD = "X = 1  # pmlint" ": disable=PM-W01\n"
-    GOOD = ("X = 1  # pmlint" ": disable=PM-W01 — "
+    BAD = "X = 1  # pmlint" ": disable=PM-W02\n"
+    GOOD = ("X = 1  # pmlint" ": disable=PM-W02 — "
             "planted example with a reason\n")
 
     def check(self, module):

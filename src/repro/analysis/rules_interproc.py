@@ -1,17 +1,12 @@
 """Interprocedural PMLint rules: PM-I01 and REF-I01.
 
-These are the whole-program replacements for the blanket exemptions the
-intraprocedural rules need.  PM-W01 must skip any helper taking a
-``fence=`` parameter — so nobody checks that some caller actually
-fences; REF-01 demands a ``try`` around every alloc — even where the
-function holds nothing else and an unwind leaks nothing.  With the
-:class:`~repro.analysis.interproc.Program` call graph and the
-fixed-point effect summaries, both questions are asked where they are
+Two questions no single function can answer: does some caller fence
+this flush (a helper taking a ``fence=`` parameter defers it), and is
+this allocated buffer released on every normal and exception path
+(handing it to a callee that releases or stores it settles it)?  With
+the :class:`~repro.analysis.interproc.Program` call graph and the
+fixed-point effect summaries, both are asked where they are
 answerable: across the call chains.
-
-In the default (interprocedural) lint mode these rules *replace*
-PM-W01 and REF-01; ``--no-interprocedural`` (or an explicit
-``--select``) brings the local rules back.
 """
 
 from repro.analysis.interproc import Program
@@ -101,14 +96,14 @@ class InterprocRefcountBalance(InterprocRule):
             "guard the may-raise region with try/finally, release in the "
             "except arm, or pass the handle to a callee that releases it")
 
-    #: Same scope as REF-01: the packet-processing layers.  Setup and
-    #: bench code allocates eagerly on purpose.
+    #: The packet-processing layers.  Setup and bench code allocates
+    #: eagerly on purpose.
     PATH_SCOPE = ("/net/", "/core/", "/storage/", "/cluster/")
 
     #: Setup/recovery entry points run before traffic exists; an
     #: allocation failure there should raise, and an unwind abandons
     #: the whole store rather than leaking one reference out of a
-    #: running system.  Same policy REF-01 applied.
+    #: running system.
     EXEMPT_FUNCTIONS = frozenset({
         "create", "recover", "reattach", "open_or_create", "main",
         "__init__", "setup", "from_config",

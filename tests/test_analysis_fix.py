@@ -94,22 +94,22 @@ class TestCtxFix:
 
 class TestSuppressionFix:
     def test_wrong_separator_normalized(self):
-        source = (f"X = 1  {DISABLE} = PM-W01 - reachability is the "
+        source = (f"X = 1  {DISABLE} = PM-W02 - reachability is the "
                   "commit point\n")
         result = fix_source(source)
         assert result.applied
-        assert ("# pmlint: disable=PM-W01 — reachability is the commit "
+        assert ("# pmlint: disable=PM-W02 — reachability is the commit "
                 "point") in result.fixed
 
     def test_missing_reason_refused(self):
-        source = f"X = 1  {DISABLE}=PM-W01\n"
+        source = f"X = 1  {DISABLE}=PM-W02\n"
         result = fix_source(source)
         assert not result.changed
         assert result.refused
         assert "reason" in result.refused[0].description
 
     def test_normalized_form_is_stable(self):
-        source = (f"X = 1  {DISABLE} = PM-W01 - reachability is the "
+        source = (f"X = 1  {DISABLE} = PM-W02 - reachability is the "
                   "commit point\n")
         once = fix_source(source)
         twice = fix_source(once.fixed)

@@ -228,33 +228,10 @@ class TestRefcountBalance:
 
 
 class TestSupersession:
-    FLUSH_NO_FENCE = (
-        "def commit(region, blob, ctx):\n"
-        "    region.write(0, blob)\n"
-        "    region.flush(0, len(blob), ctx)\n"
-    )
-
-    def test_local_rules_skipped_in_interproc_mode(self):
-        module = pmlint.ModuleSource(SCOPED_PATH, self.FLUSH_NO_FENCE)
-        found = pmlint.lint_module(module, interprocedural=True)
-        assert "PM-W01" not in {f.rule for f in found}
-
-    def test_local_rules_run_without_interproc(self):
-        module = pmlint.ModuleSource(SCOPED_PATH, self.FLUSH_NO_FENCE)
-        found = pmlint.lint_module(module, interprocedural=False)
-        assert "PM-W01" in {f.rule for f in found}
-
-    def test_explicit_select_overrides_supersession(self):
-        module = pmlint.ModuleSource(SCOPED_PATH, self.FLUSH_NO_FENCE)
-        found = pmlint.lint_module(module, select={"PM-W01"},
-                                   interprocedural=True)
-        assert {f.rule for f in found} == {"PM-W01"}
-
     def test_interproc_rules_tagged(self):
         tagged = {rule.id for rule in pmlint.iter_rules()
                   if rule.interprocedural}
         assert tagged == {"PM-I01", "REF-I01"}
-        assert tagged & pmlint.SUPERSEDED_BY_INTERPROC == set()
 
 
 class TestSelfTest:

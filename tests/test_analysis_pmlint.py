@@ -24,6 +24,12 @@ def lint_source(source, select=None, path=SCOPED_PATH):
     return pmlint.lint_module(module, select=select)
 
 
+def program_source(source, path=SCOPED_PATH):
+    """Lint one module as a whole program (the interprocedural rules)."""
+    found, _program = pmlint.lint_program([pmlint.ModuleSource(path, source)])
+    return found
+
+
 def active(findings, rule=None):
     return [f for f in findings
             if not f.suppressed and (rule is None or f.rule == rule)]
@@ -49,14 +55,14 @@ class TestFlushFenceRules:
     )
 
     def test_flush_without_fence_flagged(self):
-        findings = active(lint_source(self.MISSING_FENCE), rule="PM-W01")
+        findings = active(program_source(self.MISSING_FENCE), rule="PM-I01")
         assert len(findings) == 1
         assert findings[0].line == 3
         assert findings[0].severity == "warn"
 
     def test_fence_after_flush_clean(self):
         source = self.MISSING_FENCE + "    region.fence(ctx)\n"
-        assert not active(lint_source(source), rule="PM-W01")
+        assert not active(program_source(source), rule="PM-I01")
 
     def test_block_device_sync_counts_as_fence(self):
         source = (
@@ -74,45 +80,43 @@ class TestFlushFenceRules:
             "    if fence:\n"
             "        region.fence(ctx)\n"
         )
-        assert not active(lint_source(source), rule="PM-W01")
+        assert not active(program_source(source), rule="PM-I01")
 
 
 class TestSuppressions:
     def test_inline_suppression_with_reason_honored(self):
         source = (
             "def commit(region, blob, ctx):\n"
+            f"    {DISABLE}=PM-W02 — caller persists after the batch\n"
             "    region.write(0, blob)\n"
-            f"    {DISABLE}=PM-W01 — caller fences after the batch\n"
-            "    region.flush(0, len(blob), ctx)\n"
         )
         findings = lint_source(source)
         suppressed = [f for f in findings if f.suppressed]
         assert len(suppressed) == 1
-        assert suppressed[0].rule == "PM-W01"
-        assert "caller fences" in suppressed[0].reason
-        assert not active(findings, rule="PM-W01")
+        assert suppressed[0].rule == "PM-W02"
+        assert "caller persists" in suppressed[0].reason
+        assert not active(findings, rule="PM-W02")
 
     def test_suppression_without_reason_is_sup01_error(self):
         source = (
             "def commit(region, blob, ctx):\n"
-            "    region.write(0, blob)\n"
-            f"    region.flush(0, len(blob), ctx)  {DISABLE}=PM-W01\n"
+            f"    region.write(0, blob)  {DISABLE}=PM-W02\n"
         )
         findings = active(lint_source(source), rule="SUP-01")
         assert len(findings) == 1
         assert findings[0].severity == "error"
 
     def test_unparseable_control_comment_is_sup01(self):
-        source = f"X = 1  {DISABLE} PM-W01 oops\n"
+        source = f"X = 1  {DISABLE} PM-W02 oops\n"
         assert active(lint_source(source), rule="SUP-01")
 
     def test_suppression_does_not_leak_to_other_rules(self):
         source = (
             "def commit(region, blob, ctx):\n"
             f"    {DISABLE}=DET-01 — wrong rule named\n"
-            "    region.flush(0, 64, ctx)\n"
+            "    region.write(0, blob)\n"
         )
-        assert active(lint_source(source), rule="PM-W01")
+        assert active(lint_source(source), rule="PM-W02")
 
 
 class TestDeterminismRule:
@@ -179,7 +183,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("PM-W01", "PM-W02", "REF-01", "DET-01",
+        for rule_id in ("PM-W02", "PM-I01", "REF-I01", "DET-01",
                         "CTX-01", "SUP-01"):
             assert rule_id in out
 

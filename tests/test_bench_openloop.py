@@ -163,7 +163,7 @@ class TestDet01Cleanliness:
             os.path.dirname(__file__), os.pardir,
             "src", "repro", "bench", "openloop.py",
         )
-        report = run_lint([module], select="DET-01", interprocedural=False)
+        report = run_lint([module], select="DET-01")
         assert not report.findings, [str(f) for f in report.findings]
 
 
