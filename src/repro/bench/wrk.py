@@ -756,9 +756,9 @@ class OpenLoopWrkClient(WrkClient):
     def _established(self, conn, ctx):
         self.stats.handshakes += 1
         if conn.op is not None:
-            self._send(conn, ctx)
-        elif not conn.stopped and conn not in self._idle:
-            self._idle.append(conn)
+            self._send(conn, ctx)   # the churned arrival it was opened for
+        else:
+            self._free(conn, ctx)
 
     def _replied(self, conn, ctx):
         self.inflight -= 1

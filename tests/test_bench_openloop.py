@@ -186,6 +186,44 @@ class TestChurnInvariants:
         # The pool stayed bounded through all the churn.
         assert client.open_sockets <= 8
 
+    def test_backlog_is_served_in_arrival_order(self):
+        # Arrivals land while the only pooled socket is still in its
+        # handshake; once it is up it must take the oldest queued one
+        # first, not idle until a later arrival jumps the queue.
+        times = [1_000.0, 2_000.0, 3_000.0, 200_000.0, 400_000.0]
+
+        class FixedArrivals:
+            rate_rps = 0.0
+
+            def __init__(self):
+                self.index = 0
+
+            def next_arrival(self, now):
+                if self.index >= len(times):
+                    return math.inf, None
+                self.index += 1
+                i = self.index - 1
+                return times[i], Arrival(i, False, "PUT", f"k{i}", b"v")
+
+            def rate_at(self, now):
+                return 0.0
+
+        testbed = make_testbed(ServerConfig(engine="pktstore"))
+        client = OpenLoopWrkClient(
+            testbed.client, SERVER_IP, FixedArrivals(), sockets=1,
+            duration_ns=1_000_000.0, warmup_ns=0.0)
+        sent = []
+        fire = client._fire
+
+        def logged_fire(conn, request, ctx):
+            sent.append(conn.op[1])
+            fire(conn, request, ctx)
+
+        client._fire = logged_fire
+        stats = client.run()
+        assert sent == [f"k{i}" for i in range(len(times))]
+        assert stats.admitted == len(times)
+
     def test_arrival_op_shape(self):
         arrival = Arrival(7, True, "PUT", "k", b"v")
         assert arrival.op() == ("PUT", "k", b"v")
