@@ -99,9 +99,6 @@ class ListSource(TrafficSource):
             return None
         return self._ops.popleft()
 
-    def describe(self):
-        return {"source": "list", "ops": len(self._ops)}
-
 
 class StormBurstSource(TrafficSource):
     """The chaos storms' PUT bursts: small private key sets, finite.

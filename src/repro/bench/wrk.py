@@ -579,7 +579,7 @@ class HomaWrkClient(WrkClient):
             return
         self.stats.abandoned += 1
         conn.op = None
-        self._free(conn, ctx)
+        self._replied(conn, ctx)
 
 
 class OpenLoopWrkClient(WrkClient):

@@ -278,8 +278,6 @@ class OverloadStorm:
         self.sim = self.testbed.sim
         self.client = self.testbed.client
         self.server = self.testbed.server
-        if self.transport == "homa":
-            self.client.enable_homa()
         self.report = ChaosReport()
 
     # -- baseline / oracle ----------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from repro.bench.openloop import OpenLoopSource
 from repro.bench.testbed import make_testbed
 from repro.bench.workloads import (
+    ListSource,
     StormBurstSource,
     TrafficSource,
     UniformSource,
@@ -50,6 +51,7 @@ def recorded_capture():
 
 SOURCES = {
     "UniformSource": lambda: UniformSource(key_space=10, value_size=64),
+    "ListSource": lambda: ListSource([("PUT", "k", b"v"), ("GET", "k", None)]),
     "StormBurstSource": lambda: StormBurstSource(
         loops=2, puts_per_loop=5, keys_per_loop=2, value_size=64),
     "YcsbWorkload": lambda: YcsbWorkload(
