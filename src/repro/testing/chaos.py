@@ -43,9 +43,9 @@ SLOT = 2048
 #: Per-RPC client watchdog of the Homa storm.  Homa has no connections,
 #: so there is no stream to stall; the fault squall lands on
 #: DATA/GRANT/ACK packets and exercises sender-timeout retransmission.
-#: An RPC that neither the reply nor the transport's give-up resolves
-#: in time counts as a timeout, and its loop moves on, the way a real
-#: RPC client would.
+#: An RPC that gets no reply in time, or that the transport gives up
+#: on, is counted (timeout / give-up) and its loop moves on, the way a
+#: real RPC client would.
 WATCHDOG_NS = 80 * MILLIS
 
 
