@@ -33,7 +33,7 @@ rx-leak           after drain + settle, ``server.rx_pool.in_use`` equals
                   ``engine.store.owned`` (every live rx buffer is owned by
                   the store, none leaked by the request path)
 tx-leak           ``server.tx_pool.in_use`` returns to its pre-run baseline
-refcount          walking the store: each owned buffer's index references
+refcount:buffer   walking the store: each owned buffer's index references
                   are consistent (no use-after-free, no leaked refs)
 churn-safety      the client never reused a churned-away connection
 ================  ==========================================================
@@ -61,6 +61,7 @@ from repro.bench.testbed import SERVER_IP, make_testbed
 from repro.bench.wrk import OpenLoopWrkClient
 from repro.core.overload import OverloadController, QueuePressure
 from repro.storage.server import ServerConfig
+from repro.testing.verdict import Verdict, check_refcounts, exit_status
 
 SOAK_SCHEMA = "repro-bench-soak/v1"
 
@@ -79,20 +80,16 @@ DIGEST_TOLERANCE = 0.20
 MIN_TAIL_SAMPLES = 50
 
 
-class SoakReport:
+class SoakReport(Verdict):
     """Everything one sweep produced: points, oracles, knee estimate."""
 
+    TAG = "soak"
+    HELD = "all oracles clean"
+
     def __init__(self, config):
+        super().__init__()
         self.config = config
         self.points = []
-        self.violations = []
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def violate(self, kind, detail):
-        self.violations.append((kind, detail))
 
     @property
     def knee_krps(self):
@@ -125,12 +122,10 @@ class SoakReport:
             "config": self.config,
             "points": self.points,
             "knee_krps": self.knee_krps,
-            "violations": [f"{kind}: {detail}"
-                           for kind, detail in self.violations],
-            "ok": self.ok,
+            **self.export(),
         }
 
-    def render(self):
+    def head(self):
         lines = [
             f"[soak] {len(self.points)} offered-load points, "
             f"containment {'on' if self.config['containment'] else 'OFF'}"
@@ -148,13 +143,10 @@ class SoakReport:
         knee = self.knee_krps
         lines.append(f"[soak] knee ≈ {knee:.1f} krps" if knee is not None
                      else "[soak] knee not reached")
-        if self.violations:
-            lines.append(f"[soak] {len(self.violations)} violation(s):")
-            for kind, detail in self.violations[:10]:
-                lines.append(f"[soak]   {kind}: {detail}")
-        else:
-            lines.append("[soak] all oracles clean")
-        return "\n".join(lines)
+        return lines
+
+    def render(self):
+        return self.summary()
 
 
 def check_schema(doc):
@@ -205,42 +197,35 @@ def _leak_oracles(report, label, testbed, tx_baseline):
     rx_in_use = registry.value("server.rx_pool.in_use")
     owned = registry.value("engine.store.owned")
     if rx_in_use != owned:
-        report.violate(
+        report.violation(
             "rx-leak",
             f"{label}: rx_pool.in_use {rx_in_use:.0f} != "
             f"store.owned {owned:.0f} after drain",
         )
     tx_in_use = registry.value("server.tx_pool.in_use")
     if tx_in_use > tx_baseline:
-        report.violate(
+        report.violation(
             "tx-leak",
             f"{label}: tx_pool.in_use {tx_in_use:.0f} > "
             f"baseline {tx_baseline:.0f} after drain",
         )
     store = getattr(testbed.engine, "store", None)
-    if store is not None and hasattr(store, "_refs") and \
-            hasattr(store, "_buffers"):
-        # Refcount-exact walk (mirrors the chaos oracle): each adopted
-        # buffer's refcount equals the references the store holds on it
-        # — nothing else may pin storage buffers after the drain.
-        held = {}
-        for refs in store._refs.values():
-            for buf in refs:
-                held[buf.slot] = held.get(buf.slot, 0) + 1
-        for slot, buf in store._buffers.items():
-            expected = held.get(slot, 0)
-            if buf.refcount != expected:
-                report.violate(
-                    "refcount",
-                    f"{label}: slot {slot} refcount {buf.refcount}, "
-                    f"store holds {expected}",
-                )
-                break
+    if store is not None:
+        check_refcounts(store, report, where=f"{label}: ")
 
 
 def run_point(rate_rps, args, report, containment=True):
     """One offered-load point on a fresh testbed; returns the record."""
     label = f"{rate_rps / 1e3:.0f}krps"
+    point = {}
+    if containment:
+        report.need(
+            "bounded-tail",
+            lambda: point.get("admitted", 0) >= MIN_TAIL_SAMPLES,
+            lambda: f"{label}: only {point.get('admitted', 0)} admitted "
+                    f"samples — the point is vacuous (window too short or "
+                    f"server wedged)",
+        )
     testbed, controller = _build_point_testbed(args, containment)
     burst = None
     if args["burst_factor"] > 1.0:
@@ -268,7 +253,7 @@ def run_point(rate_rps, args, report, containment=True):
     testbed.sim.run(until=testbed.sim.now + 2_000_000.0)
 
     overload_stats = controller.stats if controller is not None else {}
-    point = {
+    point.update({
         "rate_krps": rate_rps / 1e3,
         "offered_krps": stats.offered_krps,
         "goodput_krps": stats.goodput_krps,
@@ -296,38 +281,32 @@ def run_point(rate_rps, args, report, containment=True):
         "rx_exhaustions": testbed.server.rx_pool.exhaustions,
         "under_pressure_final": bool(
             controller.under_pressure) if controller is not None else False,
-    }
+    })
     report.points.append(point)
 
     # -- point oracles --------------------------------------------------------
     if stats.admitted >= MIN_TAIL_SAMPLES:
         if point["p99_us"] > args["p99_budget_us"]:
-            report.violate(
+            report.violation(
                 "bounded-tail",
                 f"{label}: admitted p99 {point['p99_us']:.1f}µs over the "
                 f"{args['p99_budget_us']:.0f}µs budget",
             )
         exact, digest = point["p99_us"], point["digest_p99_us"]
         if exact > 0 and abs(digest - exact) > DIGEST_TOLERANCE * exact:
-            report.violate(
+            report.violation(
                 "digest-conform",
                 f"{label}: digest p99 {digest:.1f}µs vs exact "
                 f"{exact:.1f}µs (> {DIGEST_TOLERANCE:.0%})",
             )
-    elif containment:
-        report.violate(
-            "bounded-tail",
-            f"{label}: only {stats.admitted} admitted samples — the "
-            f"point is vacuous (window too short or server wedged)",
-        )
     if point["rx_exhaustions"] > 0:
-        report.violate(
+        report.violation(
             "shed-before-exhaustion",
             f"{label}: rx pool reported {point['rx_exhaustions']} "
             f"exhaustions — admission control engaged too late",
         )
     if client.use_after_close > 0:
-        report.violate(
+        report.violation(
             "churn-safety",
             f"{label}: {client.use_after_close} sends on churned "
             f"connections",
@@ -342,18 +321,18 @@ def run_soak(rates_rps, args, containment=True):
     config["rates_krps"] = [r / 1e3 for r in rates_rps]
     config["containment"] = containment
     report = SoakReport(config)
-    for rate in sorted(rates_rps):
-        run_point(rate, args, report, containment=containment)
     if containment:
         # Vacuity guard: a sweep whose top point never sheds either
         # stopped short of the knee or proves admission control inert.
-        top = report.points[-1]
-        if top["shed"] <= 0:
-            report.violate(
-                "shed-engages",
-                f"top point {top['rate_krps']:.0f}krps shed nothing — "
-                f"the sweep never saturated the server",
-            )
+        top = max(rates_rps) / 1e3
+        report.need(
+            "shed-engages",
+            lambda: report.points and report.points[-1]["shed"] > 0,
+            f"top point {top:.0f}krps shed nothing — the sweep never "
+            f"saturated the server",
+        )
+    for rate in sorted(rates_rps):
+        run_point(rate, args, report, containment=containment)
     return report
 
 
@@ -489,14 +468,8 @@ def main(argv=None):
             with open(cli.json, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
             print(f"[soak] document written to {cli.json}")
-    if cli.expect_violations:
-        if report.ok:
-            print("[soak] FAIL: expected violations, sweep was clean")
-            return 1
-        print(f"[soak] OK ({len(report.violations)} violations, "
-              f"as expected)")
-        return 0
-    return 0 if report.ok else 1
+    return exit_status(report, cli.expect_violations, "soak", "overload",
+                       "admitted tail bounded, shedding engaged, no leaks")
 
 
 if __name__ == "__main__":

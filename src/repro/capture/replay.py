@@ -62,6 +62,7 @@ from repro.sim.engine import Simulator
 from repro.storage.engines import direct_put
 from repro.storage.server import ServerConfig, serve
 from repro.testing.oracle import KVDurabilityOracle
+from repro.testing.verdict import Verdict
 
 #: Default world sizing for rebuilt standbys; mirrors the testbed's.
 PM_BYTES = 192 << 20
@@ -267,33 +268,26 @@ class _FinalScenario:
     event_index = 0
 
 
-class RebuildReport:
+class RebuildReport(Verdict):
     """Outcome of one rebuild-equivalence check."""
 
-    def __init__(self, live_digest, rebuilt_digest, violations):
+    TAG = "capture"
+    HELD = ("equivalence held: identical recovery digests, durability "
+            "oracle clean")
+
+    def __init__(self, live_digest, rebuilt_digest, checked):
+        super().__init__()
         self.live_digest = live_digest
         self.rebuilt_digest = rebuilt_digest
-        self.violations = list(violations)
+        #: Keys held by either store — what the oracle compared.
+        self.checked = checked
 
-    @property
-    def ok(self):
-        return not self.violations and self.live_digest == self.rebuilt_digest
-
-    def summary(self):
-        lines = [
+    def head(self):
+        return [
             f"[capture] live store digest    {self.live_digest}",
             f"[capture] rebuilt store digest {self.rebuilt_digest}",
+            f"[capture] compared {self.checked} key(s)",
         ]
-        if self.violations:
-            lines.append(f"[capture] {len(self.violations)} violation(s):")
-            lines.extend(f"[capture]   {v}" for v in self.violations[:10])
-            if len(self.violations) > 10:
-                lines.append(
-                    f"[capture]   ... {len(self.violations) - 10} more")
-        else:
-            lines.append("[capture] equivalence held: identical recovery "
-                         "digests, durability oracle clean")
-        return "\n".join(lines)
 
 
 def verify_rebuild(live_engine, rebuilt_engine):
@@ -302,17 +296,23 @@ def verify_rebuild(live_engine, rebuilt_engine):
     The live store's mapping becomes the journal of expectations; the
     rebuilt store is the recovered world.  The oracle flags any key
     whose rebuilt value differs (or is absent) and any key the rebuild
-    invented; the report also carries both recovery digests.
+    invented; differing recovery digests are a ``digest`` violation.
     """
     live = store_mapping(live_engine)
     rebuilt = store_mapping(rebuilt_engine)
+    report = RebuildReport(_digest_of_mapping(live),
+                           _digest_of_mapping(rebuilt),
+                           len(live.keys() | rebuilt.keys()))
+    report.need("vacuous:no-keys", lambda: report.checked,
+                "both stores are empty — equivalence checked nothing")
     oracle = KVDurabilityOracle()
-    violations = oracle.check(
-        _MappingView(rebuilt), _FinalScenario(), _MappingJournal(live)
-    )
-    return RebuildReport(
-        _digest_of_mapping(live), _digest_of_mapping(rebuilt), violations
-    )
+    for message in oracle.check(_MappingView(rebuilt), _FinalScenario(),
+                                _MappingJournal(live)):
+        report.violation(oracle.name, message)
+    if report.live_digest != report.rebuilt_digest:
+        report.violation("digest", f"live {report.live_digest[:16]}… != "
+                                   f"rebuilt {report.rebuilt_digest[:16]}…")
+    return report
 
 
 def plant_drop(capture, live_engine, server_ip=None):
@@ -588,35 +588,35 @@ def _apply_op(engine, method, key_bytes, value):
     return True
 
 
-class ReseedReport:
+class ReseedReport(Verdict):
     """Outcome of one capture-driven cluster reseed."""
 
-    def __init__(self, dead_name, standby_node, injected, caught_up,
-                 checked, violations, attached):
+    TAG = "reseed"
+    HELD = "standby agrees with every promoted primary"
+
+    def __init__(self, dead_name):
+        super().__init__()
         self.dead_name = dead_name
         #: The rebuilt ClusterNode (in cluster.nodes once attached).
-        self.node = standby_node
-        self.injected = injected
-        self.caught_up = caught_up
-        self.checked = checked
-        self.violations = list(violations)
-        self.attached = attached
+        self.node = None
+        self.injected = 0
+        self.caught_up = 0
+        self.checked = 0
+        self.attached = False
+        self.need("vacuous:no-keys", lambda: self.checked,
+                  f"no shard key of {dead_name} was checkable on a promoted "
+                  f"primary — the reseed verified nothing")
 
-    @property
-    def ok(self):
-        return not self.violations
-
-    def summary(self):
-        lines = [
+    def head(self):
+        return [
             f"[reseed] {self.dead_name}: {self.injected} frame(s) of its "
             f"own history replayed, {self.caught_up} post-kill op(s) "
             f"caught up from the survivors",
             f"[reseed] verified {self.checked} shard key(s) against the "
-            f"promoted primaries: {len(self.violations)} violation(s)",
+            f"promoted primaries",
+            f"[reseed] node "
+            f"{'re-attached to the ring' if self.attached else 'left detached'}",
         ]
-        lines.extend(f"[reseed]   {v}" for v in self.violations[:10])
-        lines.append(f"[reseed] node {'re-attached to the ring' if self.attached else 'left detached'}")
-        return "\n".join(lines)
 
 
 def verify_reseed(cluster, standby_engine, dead_name, full_ring=None):
@@ -625,7 +625,8 @@ def verify_reseed(cluster, standby_engine, dead_name, full_ring=None):
     For every key a revived ``dead_name`` would hold (primary or
     backup in the all-alive ring), the standby's value must equal the
     key's *current* primary's — the promoted shard and its fresh
-    backup agree.  Returns ``(violations, checked)``.
+    backup agree.  Returns ``(violations, checked)``; each violation is
+    a ``("reseed:divergent", detail)`` pair.
     """
     from repro.cluster.hashring import HashRing
 
@@ -654,11 +655,12 @@ def verify_reseed(cluster, standby_engine, dead_name, full_ring=None):
             checked += 1
             actual = standby_map.get(key)
             if actual != authority:
-                violations.append(
+                violations.append((
+                    "reseed:divergent",
                     f"key {key!r}: standby has "
                     f"{'<absent>' if actual is None else f'{len(actual)}B'} "
-                    f"!= primary {primary}'s {len(authority)}B value"
-                )
+                    f"!= primary {primary}'s {len(authority)}B value",
+                ))
     return violations, checked
 
 
@@ -681,7 +683,8 @@ def reseed_from_capture(cluster, dead_name, capture=None, attach=True,
        packets instead of a state-transfer protocol);
     3. the standby is verified key-by-key against the promoted
        primaries (:func:`verify_reseed`);
-    4. if clean (and ``attach=True``), the standby's NIC takes over the
+    4. if the verdict is clean — no divergent key, and at least one
+       key checked — and ``attach=True``, the standby's NIC takes over the
        dead host's fabric port, the ring marks the node alive, and the
        cluster's node table swaps to the rebuilt node.
 
@@ -708,6 +711,7 @@ def reseed_from_capture(cluster, dead_name, capture=None, attach=True,
     if dead_name in cluster.ring.alive:
         raise RuntimeError(f"{dead_name} is alive; reseed replaces corpses")
     killed_at = cluster.killed_at.get(dead_name)
+    report = ReseedReport(dead_name)
 
     sim = cluster.sim
     private = Fabric(sim)
@@ -747,13 +751,12 @@ def reseed_from_capture(cluster, dead_name, capture=None, attach=True,
     offset = 0.0
     if history.records:
         offset = sim.now - history.records[0].t_ns + 1.0
-    injected = inject(history, host, time_offset=offset)
+    report.injected = inject(history, host, time_offset=offset)
     sim.run_until_idle(max_events=max_events)
 
     # Phase 2: catch up the post-kill delta from the survivors' inbound
     # client traffic, for every shard the revived node participates in.
     full_ring = HashRing(list(cluster.nodes), vnodes=config.vnodes)
-    caught_up = 0
     if killed_at is not None:
         tail = Capture(meta=dict(capture.meta))
         tail.records = [r for r in capture.records if r.t_ns >= killed_at]
@@ -764,33 +767,28 @@ def reseed_from_capture(cluster, dead_name, capture=None, attach=True,
             if dead_name not in full_ring.route(key_bytes):
                 continue
             if _apply_op(handle.engine, method, key_bytes, value):
-                caught_up += 1
+                report.caught_up += 1
 
     # Phase 3: the standby must agree with every promoted primary.
-    violations, checked = verify_reseed(cluster, handle.engine, dead_name,
-                                        full_ring)
+    violations, report.checked = verify_reseed(cluster, handle.engine,
+                                               dead_name, full_ring)
+    for kind, detail in violations:
+        report.violation(kind, detail)
 
     # Phase 4: take over the dead host's fabric port and rejoin.
-    attached = False
-    if attach and not violations:
+    report.node = ClusterNode(dead_name, node.ip, host, handle, replicator,
+                              applier, pm_device, pm_ns)
+    if attach and report.ok:
         cluster.fabric.replace(host.nic)
         host.nic.fabric = cluster.fabric
         cluster.ring.mark_alive(dead_name)
         replicator.reset_suspicion()
         for survivor in cluster.alive_nodes():
             survivor.replicator.reset_suspicion()
-        new_node = ClusterNode(dead_name, node.ip, host, handle, replicator,
-                               applier, pm_device, pm_ns)
-        cluster.nodes[dead_name] = new_node
+        cluster.nodes[dead_name] = report.node
         cluster.killed_at.pop(dead_name, None)
-        attached = True
-        standby_node = new_node
-    else:
-        standby_node = ClusterNode(dead_name, node.ip, host, handle,
-                                   replicator, applier, pm_device, pm_ns)
-
-    return ReseedReport(dead_name, standby_node, injected, caught_up,
-                        checked, violations, attached)
+        report.attached = True
+    return report
 
 
 class CaptureSource(TrafficSource):

@@ -120,13 +120,8 @@ class MemoryDevice:
         self.fence(ctx, category)
         return lines
 
-    def crash(self, rng=None, pending_persist_prob=0.5):
-        """Power loss.  Volatile contents are zeroed.
-
-        ``rng``/``pending_persist_prob`` are accepted (and ignored) so
-        crash-injection code can power-cycle any device kind through one
-        signature.
-        """
+    def crash(self):
+        """Power loss.  Volatile contents are zeroed."""
         self.crashes += 1
         self.data = zero_buffer(self.size)
 

@@ -15,6 +15,7 @@ Layers (each usable on its own):
 - :mod:`~repro.testing.journal`  — acked-vs-in-flight op bracketing;
 - :mod:`~repro.testing.oracle`   — recovery invariants;
 - :mod:`~repro.testing.harness`  — the exhaustive sweep + live-sim scheduler;
+- :mod:`~repro.testing.verdict`  — the one verdict every harness reports;
 - :mod:`~repro.testing.workloads`— ready-made worlds (PacketStore, LSM, WAL);
 - :mod:`~repro.testing.cli`      — the ``repro-crashcheck`` entry point.
 
@@ -34,7 +35,6 @@ from repro.testing.harness import (
     CrashScenario,
     CrashSweep,
     SweepReport,
-    Violation,
     run_until_persistence_events,
 )
 from repro.testing.journal import ABSENT, Op, OpJournal
@@ -77,7 +77,6 @@ __all__ = [
     "RecordingBlockDevice",
     "RecordingPMDevice",
     "SweepReport",
-    "Violation",
     "WalPrefixOracle",
     "WalWorld",
     "make_cursor",

@@ -34,6 +34,7 @@ from repro.net.fabric import LinkFaults
 from repro.net.http import build_request
 from repro.sim.units import MILLIS
 from repro.storage.server import ServerConfig
+from repro.testing.verdict import Verdict, check_refcounts, exit_status
 
 PORT = 80
 
@@ -49,26 +50,17 @@ SLOT = 2048
 WATCHDOG_NS = 80 * MILLIS
 
 
-class StormReport:
-    """Violations of one storm, plus its loops' ack counters."""
+class StormReport(Verdict):
+    """One storm's verdict, plus its loops' ack counters."""
 
-    #: Prefix of every summary line, and the summary's closing line when
-    #: no oracle fired.
     TAG = "chaos"
     HELD = "contract held: live, durable, leak-free"
 
     def __init__(self):
-        self.violations = []
+        super().__init__()
         self.crashed = None
         self.probe_ok = False
         self.tally(AckLedger())
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def violation(self, kind, detail):
-        self.violations.append((kind, detail))
 
     def tally(self, ledger):
         """Copy the storm ledger's counters."""
@@ -78,20 +70,6 @@ class StormReport:
         self.resets = ledger.resets
         self.timeouts = ledger.timeouts
         self.give_ups = ledger.give_ups
-
-    def _render(self, lines):
-        tag = self.TAG
-        if self.crashed is not None:
-            lines.append(f"[{tag}] CRASH: {self.crashed!r}")
-        if not self.violations:
-            lines.append(f"[{tag}] {self.HELD}")
-        else:
-            lines.append(f"[{tag}] {len(self.violations)} violation(s):")
-            for kind, detail in self.violations[:10]:
-                lines.append(f"[{tag}]   {kind}: {detail}")
-            if len(self.violations) > 10:
-                lines.append(f"[{tag}]   ... {len(self.violations) - 10} more")
-        return "\n".join(lines)
 
 
 class ChaosReport(StormReport):
@@ -106,7 +84,7 @@ class ChaosReport(StormReport):
         self.server_stats = {}
         self.overload_stats = {}
 
-    def summary(self):
+    def head(self):
         lines = [
             f"[chaos] puts acked {self.acked_puts}/{self.attempted_puts}, "
             f"responses {dict(self.responses)}, resets {self.resets}, "
@@ -125,25 +103,7 @@ class ChaosReport(StormReport):
         if self.overload_stats:
             lines.append("[chaos] overload: " + ", ".join(
                 f"{k} {v}" for k, v in sorted(self.overload_stats.items())))
-        return self._render(lines)
-
-
-def check_refcounts(store, report, where=""):
-    """Refcount oracle: each adopted buffer's refcount equals the
-    references the store holds on it — nothing else may be pinning
-    storage buffers once traffic has drained."""
-    held = {}
-    for refs in store._refs.values():
-        for buf in refs:
-            held[buf.slot] = held.get(buf.slot, 0) + 1
-    for slot, buf in store._buffers.items():
-        expected = held.get(slot, 0)
-        if buf.refcount != expected:
-            report.violation(
-                "refcount:buffer",
-                f"{where}slot {slot}: refcount {buf.refcount}, store "
-                f"holds {expected}",
-            )
+        return lines
 
 
 def check_span_links(recorder, metrics, report):
@@ -279,6 +239,7 @@ class OverloadStorm:
         self.client = self.testbed.client
         self.server = self.testbed.server
         self.report = ChaosReport()
+        self._faults = None
 
     # -- baseline / oracle ----------------------------------------------------
 
@@ -359,45 +320,53 @@ class OverloadStorm:
         # one) per key is what the store serves.
         self.ledger.check_durability(self.testbed.engine.get, report)
 
-    def _check_vacuity(self):
+    def _declare_needs(self):
         """A storm that stressed nothing proves nothing — fail loudly.
 
         A quiet pass is worse than a failure: the oracles all "hold"
-        while the code under test never ran.  Three ways a storm can go
-        vacuous, each a configuration bug, not a server bug: the burst
-        issued zero requests, the fault squall was requested but never
-        touched a frame, or the stall clients were requested but none
-        ever reset.  (Retransmit vacuity stays advisory — see
-        :meth:`_check_oracles` — because whether the squall forces a
-        retransmit is legitimately seed-dependent; whether it drops any
-        frame at all, across a multi-thousand-frame storm, is not.)
+        while the code under test never ran.  The storm must issue and
+        ack PUTs, its fault squall (when requested) must touch a frame,
+        its stall clients (when requested) must reset, and with
+        containment on it must actually overload the server.
+        (Retransmit vacuity stays advisory — see :meth:`_check_oracles`
+        — because whether the squall forces a retransmit is
+        legitimately seed-dependent; whether it drops any frame at all,
+        across a multi-thousand-frame storm, is not.)
         """
         report = self.report
-        if report.attempted_puts == 0:
-            report.violation(
-                "vacuous:no-requests",
-                "the storm phase issued zero PUTs — nothing was tested",
+        report.need("vacuous:no-requests", lambda: report.attempted_puts,
+                    "the storm phase issued zero PUTs — nothing was tested")
+        report.need("liveness:no-progress", lambda: report.acked_puts,
+                    "not a single PUT was acked")
+        if self.storm_faults:
+            report.need(
+                "vacuous:no-faults", self._faults_landed,
+                "a fault squall was requested but zero frames were "
+                "dropped/duplicated/corrupted/reordered — the storm "
+                "finished before the squall window or traffic never "
+                "crossed the fabric",
             )
-        if self.storm_faults and self._faults is not None:
-            faults = self._faults
-            observed = (faults.dropped + faults.duplicated +
-                        faults.corrupted + faults.reordered)
-            if observed == 0:
-                report.violation(
-                    "vacuous:no-faults",
-                    "a fault squall was requested but zero frames were "
-                    "dropped/duplicated/corrupted/reordered — the storm "
-                    "finished before the squall window or traffic never "
-                    "crossed the fabric",
-                )
         expected_stalls = 0 if self.transport == "homa" else self.stalls
-        if expected_stalls and report.stall_aborts == 0:
-            report.violation(
-                "vacuous:no-stalls",
+        if expected_stalls:
+            report.need(
+                "vacuous:no-stalls", lambda: report.stall_aborts,
                 f"{expected_stalls} stall client(s) requested but none "
                 f"ever aborted mid-request — the slow-client phase "
                 f"never ran",
             )
+        if self.contain:
+            report.need(
+                "config:no-overload",
+                lambda: report.responses.get(503, 0) or
+                report.responses.get(507, 0),
+                "storm never triggered shedding — the world is not "
+                "under-provisioned enough to test anything",
+            )
+
+    def _faults_landed(self):
+        faults = self._faults
+        return faults is not None and (faults.dropped + faults.duplicated +
+                                       faults.corrupted + faults.reordered)
 
     # -- phases ---------------------------------------------------------------
 
@@ -437,7 +406,6 @@ class OverloadStorm:
                     co, s.start
                 ),
             )
-        self._faults = None
         if self.storm_faults:
             # A loss+duplication squall mid-burst; clears before drain.
             # Keep the handle: the vacuity oracle reads its counters.
@@ -475,6 +443,7 @@ class OverloadStorm:
     # -- run ------------------------------------------------------------------
 
     def run(self):
+        self._declare_needs()
         self._capture_baseline()
         self._launch()
         try:
@@ -489,18 +458,6 @@ class OverloadStorm:
             return self.report
 
         self._finalize()
-        if self.report.acked_puts == 0:
-            self.report.violation(
-                "liveness:no-progress", "not a single PUT was acked"
-            )
-        self._check_vacuity()
-        if self.contain and self.report.responses.get(503, 0) == 0 and \
-                self.report.responses.get(507, 0) == 0:
-            self.report.violation(
-                "config:no-overload",
-                "storm never triggered shedding — the world is not "
-                "under-provisioned enough to test anything",
-            )
         dead = self.burst.stalled()
         if dead:
             self.report.violation(
@@ -613,26 +570,10 @@ def _main_cluster(args):
         seed=args.seed,
         max_events=args.max_events,
     )
-    return _exit_status(report, args, "cluster-chaos", "failover",
-                        "acked puts survived the host kill, refcounts "
-                        "exact, traces stitched")
-
-
-def _exit_status(report, args, tag, contract, held):
-    """Print the report; 0 when it matches ``--expect-violations``."""
     print(report.summary())
-    if args.expect_violations:
-        if report.ok:
-            print(f"[{tag}] FAIL: expected violations, storm was clean")
-            return 1
-        print(f"[{tag}] OK: gap detected ({len(report.violations)} "
-              f"violations, as expected)")
-        return 0
-    if not report.ok:
-        print(f"[{tag}] FAIL: {contract} contract violated")
-        return 1
-    print(f"[{tag}] OK: {held}")
-    return 0
+    return exit_status(report, args.expect_violations, "cluster-chaos",
+                       "failover", "acked puts survived the host kill, "
+                       "refcounts exact, traces stitched")
 
 
 def main(argv=None):
@@ -663,9 +604,10 @@ def main(argv=None):
         seed=args.seed,
         max_events=args.max_events,
     )
-    return _exit_status(report, args, "chaos", "overload",
-                        "server stayed live, acked writes durable, no "
-                        "leaks after the storm")
+    print(report.summary())
+    return exit_status(report, args.expect_violations, "chaos", "overload",
+                       "server stayed live, acked writes durable, no "
+                       "leaks after the storm")
 
 
 if __name__ == "__main__":

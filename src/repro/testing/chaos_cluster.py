@@ -34,8 +34,8 @@ from repro.bench.workloads import ListSource, StormBurstSource
 from repro.bench.wrk import AckLedger, HomaWrkClient
 from repro.cluster.topology import ClusterConfig, build_cluster
 from repro.sim.units import MILLIS
-from repro.testing.chaos import StormReport, check_refcounts, \
-    check_span_links
+from repro.testing.chaos import StormReport, check_span_links
+from repro.testing.verdict import check_refcounts
 
 #: Per-attempt client watchdog.  Far below Homa's 50 ms give-up: the
 #: router's failure detection is driven by these expiries, and two of
@@ -71,7 +71,7 @@ class ClusterChaosReport(StormReport):
         self.retries = ledger.retries
         self.abandoned_puts = ledger.abandoned
 
-    def summary(self):
+    def head(self):
         lines = [
             f"[cluster-chaos] puts acked {self.acked_puts}/"
             f"{self.attempted_puts} "
@@ -90,7 +90,7 @@ class ClusterChaosReport(StormReport):
             lines.append("[cluster-chaos] replication: " + ", ".join(
                 f"{k} {v}" for k, v in sorted(self.repl_stats.items())
                 if not k.startswith("lag")))
-        return self._render(lines)
+        return lines
 
 
 class HostKillStorm:
@@ -137,6 +137,7 @@ class HostKillStorm:
         self.ledger = AckLedger(on_peer=self._peer_result)
         self.ledger.phase = "pre"
         self.victim = None
+        self._victim_keys = []
         self._bursts = []
 
     # -- phase / failure plumbing ---------------------------------------------
@@ -272,7 +273,6 @@ class HostKillStorm:
 
         self._check_span_stitching()
         self._check_durability()
-        self._check_vacuity()
 
     def _check_durability(self):
         """Every acked put is readable from the key's current primary —
@@ -308,48 +308,42 @@ class HostKillStorm:
                 )
         report.stitched_families = families
 
-    def _check_vacuity(self):
+    def _declare_needs(self):
         """A kill storm that killed nothing, detected nothing or acked
         nothing on either side of the cut proves nothing."""
         report = self.report
-        report.kills = self.cluster.stats["kills"]
-        report.failovers = self.cluster.stats["failovers"]
-        if report.attempted_puts == 0:
-            report.violation("vacuous:no-requests",
-                             "the storm issued zero PUTs")
-        if report.kills == 0:
-            report.violation("vacuous:no-kill",
-                             "no host was ever killed — nothing failed")
-        if report.failovers == 0:
-            report.violation(
-                "vacuous:no-failover",
-                "the victim was never evicted — neither the router's "
-                "failure detection nor the failsafe fired",
-            )
-        if report.acked_by_phase["pre"] == 0:
-            report.violation(
-                "vacuous:no-pre-kill-acks",
-                "zero puts were acked before the kill — the victim "
-                "died holding nothing worth checking",
-            )
-        if report.acked_by_phase["post"] == 0:
-            report.violation(
-                "vacuous:no-post-failover-acks",
-                "zero puts were acked after the failover — promotion "
-                "was never exercised by live traffic",
-            )
-        victim_acked = sum(1 for key in self.ledger.last_acked
-                           if key in self._victim_keys)
-        if victim_acked == 0:
-            report.violation(
-                "vacuous:victim-untouched",
-                f"no acked put landed on a shard {self.victim} owned — "
-                f"the kill endangered nothing",
-            )
+        report.need("vacuous:no-requests", lambda: report.attempted_puts,
+                    "the storm issued zero PUTs")
+        report.need("vacuous:no-kill", lambda: report.kills,
+                    "no host was ever killed — nothing failed")
+        report.need(
+            "vacuous:no-failover", lambda: report.failovers,
+            "the victim was never evicted — neither the router's "
+            "failure detection nor the failsafe fired",
+        )
+        report.need(
+            "vacuous:no-pre-kill-acks", lambda: report.acked_by_phase["pre"],
+            "zero puts were acked before the kill — the victim "
+            "died holding nothing worth checking",
+        )
+        report.need(
+            "vacuous:no-post-failover-acks",
+            lambda: report.acked_by_phase["post"],
+            "zero puts were acked after the failover — promotion "
+            "was never exercised by live traffic",
+        )
+        report.need(
+            "vacuous:victim-untouched",
+            lambda: any(key in self._victim_keys
+                        for key in self.ledger.last_acked),
+            lambda: f"no acked put landed on a shard {self.victim} owned "
+                    f"— the kill endangered nothing",
+        )
 
     # -- run ------------------------------------------------------------------
 
     def run(self):
+        self._declare_needs()
         self._burst()
         try:
             self.sim.run_until_idle(max_events=self.max_events)
@@ -368,6 +362,8 @@ class HostKillStorm:
 
     def _finalize(self):
         self.report.tally(self.ledger)
+        self.report.kills = self.cluster.stats["kills"]
+        self.report.failovers = self.cluster.stats["failovers"]
         totals = {}
         for node in self.cluster.nodes.values():
             for key, value in node.replicator.stats.items():

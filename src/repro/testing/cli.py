@@ -26,6 +26,7 @@ from repro.testing.workloads import (
     sequential_puts,
     value_for,
 )
+from repro.testing.verdict import exit_status
 
 WORLDS = ("pktstore", "lsm", "wal")
 
@@ -135,18 +136,9 @@ def main(argv=None):
     report = sweep.run(progress=progress)
     print(report.summary())
 
-    if args.expect_violations:
-        if report.ok:
-            print("[crashcheck] FAIL: expected violations, sweep was clean")
-            return 1
-        print(f"[crashcheck] OK: injected fault detected "
-              f"({len(report.violations)} violations, as expected)")
-        return 0
-    if not report.ok:
-        print("[crashcheck] FAIL: durability contract violated")
-        return 1
-    print("[crashcheck] OK: every crash point recovered within contract")
-    return 0
+    return exit_status(report, args.expect_violations, "crashcheck",
+                       "durability",
+                       "every crash point recovered within contract")
 
 
 if __name__ == "__main__":

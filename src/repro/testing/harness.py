@@ -34,6 +34,7 @@ from repro.pm.namespace import NamespaceError
 from repro.storage.skiplist import SkipListCorruption, _XorShift
 
 from repro.testing.replay import make_cursor
+from repro.testing.verdict import Verdict
 
 #: Exception types a recovery may raise for a crash that predates full
 #: initialisation (no namespace directory, no store root yet).  After
@@ -67,24 +68,18 @@ class CrashScenario:
         )
 
 
-class Violation:
-    """One oracle failure at one scenario."""
+class SweepReport(Verdict):
+    """What an exhaustive sweep covered and what it found.
 
-    __slots__ = ("scenario", "oracle", "message")
+    A violation's kind is the oracle's name (or ``recovery``); its
+    detail starts with the scenario.
+    """
 
-    def __init__(self, scenario, oracle, message):
-        self.scenario = scenario
-        self.oracle = oracle
-        self.message = message
-
-    def __repr__(self):
-        return f"<violation {self.scenario!r} [{self.oracle}] {self.message}>"
-
-
-class SweepReport:
-    """What an exhaustive sweep covered and what it found."""
+    TAG = "crashcheck"
+    HELD = "contract held: every recovered image passed every oracle"
 
     def __init__(self, total_events, first_point):
+        super().__init__()
         self.total_events = total_events
         self.first_point = first_point
         self.crash_points = 0
@@ -92,33 +87,22 @@ class SweepReport:
         self.recoveries = 0
         self.tolerated_failures = 0
         self.per_mode = {}
-        self.violations = []
 
     def add_violation(self, scenario, oracle, message):
-        self.violations.append(Violation(scenario, oracle, message))
+        self.violation(oracle, f"{scenario!r} {message}")
 
-    @property
-    def ok(self):
-        return not self.violations
-
-    def summary(self):
+    def head(self):
         modes = ", ".join(f"{mode} {count}"
                           for mode, count in sorted(self.per_mode.items()))
-        lines = [
-            f"crash points: {self.crash_points} "
+        return [
+            f"[crashcheck] crash points: {self.crash_points} "
             f"(events {self.first_point}..{self.first_point + self.crash_points - 1} "
             f"of {self.total_events})",
-            f"scenarios: {self.scenarios} ({modes})",
-            f"recoveries: {self.recoveries}"
+            f"[crashcheck] scenarios: {self.scenarios} ({modes})",
+            f"[crashcheck] recoveries: {self.recoveries}"
             + (f", tolerated pre-setup failures: {self.tolerated_failures}"
                if self.tolerated_failures else ""),
-            f"violations: {len(self.violations)}",
         ]
-        for violation in self.violations[:20]:
-            lines.append(f"  {violation!r}")
-        if len(self.violations) > 20:
-            lines.append(f"  … and {len(self.violations) - 20} more")
-        return "\n".join(lines)
 
     def __repr__(self):
         state = "OK" if self.ok else f"{len(self.violations)} VIOLATIONS"
@@ -215,6 +199,12 @@ class CrashSweep:
                              drop_flushes=self.drop_flushes)
         rng = _XorShift(self.seed)
         report = SweepReport(len(events), first_point)
+        report.need(
+            "vacuous:no-recoveries", lambda: report.recoveries,
+            lambda: f"no crash scenario was recovered and checked "
+                    f"(max_events {self.max_events}, setup boundary at "
+                    f"event {self.trace.setup_events}) — nothing was tested",
+        )
 
         for k in range(0, limit + 1):
             if k > 0:

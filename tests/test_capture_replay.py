@@ -117,6 +117,19 @@ class TestPlantDrop:
                    for v in report.violations), (key, report.violations)
 
 
+class TestVacuity:
+    def test_rebuild_of_two_empty_stores_checks_nothing(self):
+        class EmptyEngine:
+            @staticmethod
+            def scan():
+                return iter(())
+
+        report = verify_rebuild(EmptyEngine(), EmptyEngine())
+        assert report.checked == 0
+        assert not report.ok
+        assert [kind for kind, _ in report.violations] == ["vacuous:no-keys"]
+
+
 class TestCaptureAsWorkload:
     def test_replay_reproduces_ops_and_store(self):
         # Replay the capture as a live workload against a fresh server

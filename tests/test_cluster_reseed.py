@@ -81,6 +81,23 @@ class TestReseedPreconditions:
         with pytest.raises(RuntimeError, match="alive"):
             reseed_from_capture(cluster, name)
 
+    def test_reseed_that_checks_no_key_stays_detached(self):
+        # A kill before any traffic: the standby holds nothing and no
+        # shard key is checkable, so the reseed verified nothing and
+        # must not re-attach the node.
+        config = ClusterConfig(hosts=3, capture=True, metrics=True)
+        cluster = build_cluster(config)
+        name = sorted(cluster.nodes)[0]
+        cluster.kill(name)
+        cluster.failover(name)
+        result = reseed_from_capture(cluster, name)
+        assert result.checked == 0
+        assert not result.ok
+        assert [kind for kind, _ in result.violations] == ["vacuous:no-keys"]
+        assert not result.attached
+        assert name not in cluster.ring.alive
+        assert cluster.nodes[name] is not result.node
+
     def test_verify_reseed_flags_missing_keys(self):
         # An empty standby cannot match the promoted primaries.
         storm = run_storm()

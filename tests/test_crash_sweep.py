@@ -196,7 +196,7 @@ def test_sweep_detects_removed_commit_fence(monkeypatch):
     sequential_puts(world, n=6, value_size=32)
     report = world.sweep().run()
     assert not report.ok
-    assert any(v.oracle == "kv-durability" for v in report.violations), \
+    assert any(kind == "kv-durability" for kind, _ in report.violations), \
         report.summary()
 
 
@@ -221,6 +221,19 @@ def test_sweep_max_events_bounds_work():
     report = world.sweep(max_events=setup + 10).run()
     assert report.ok, report.summary()
     assert report.crash_points == 11
+
+
+def test_sweep_below_setup_boundary_is_vacuous():
+    """A bound that stops before the setup boundary leaves zero crash
+    points: the sweep tested nothing and must not pass."""
+    world = PacketStoreWorld(seed=4)
+    sequential_puts(world, n=6, value_size=32)
+    setup = world.device.trace.setup_events
+    report = world.sweep(max_events=setup - 1).run()
+    assert (report.crash_points, report.recoveries) == (0, 0)
+    assert not report.ok
+    assert [kind for kind, _ in report.violations] == \
+        ["vacuous:no-recoveries"]
 
 
 def test_sweep_include_setup_tolerates_clean_failures():

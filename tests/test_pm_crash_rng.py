@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.pm.device import DRAMDevice, PMDevice
+from repro.pm.device import PMDevice
 
 
 def _dirty_pending_device(lines=(0, 2, 5, 9), size=4096):
@@ -83,11 +83,3 @@ def test_probability_extremes():
     dev2.crash(rng=random.Random(1), pending_persist_prob=0.0)
     assert dev2.persisted_view(0, dev2.size)[0:192] == bytes(192)  # none drained
 
-
-def test_dram_crash_accepts_uniform_signature():
-    """Crash-injection code power-cycles any device kind through one
-    signature; DRAM ignores the knobs but must accept them."""
-    dev = DRAMDevice(1024)
-    dev.write(0, b"gone")
-    dev.crash(rng=random.Random(1), pending_persist_prob=0.3)
-    assert bytes(dev.read(0, 4)) == bytes(4)
