@@ -177,33 +177,37 @@ class PacketStore:
 
     # ------------------------------------------------------------- traversal
 
-    def _charge_visit(self, ctx, level, advanced=True):
-        # Same cache model as the storage skip list: level 0 cold,
-        # higher cold levels cold only when stepping past a node.
-        cold = level == 0 or (level < COLD_LEVELS and advanced)
-        if cold:
-            self.slab.region.charge_access(ctx, 1, "datamgmt.insert")
-        else:
-            ctx.charge(HOT_VISIT_NS, "datamgmt.insert")
-
     @staticmethod
     def _order(key, seq):
         return (key, MAX_SEQ - seq)
 
     def _find_predecessors(self, order_key, ctx):
-        preds = [self.head_slot] * MAX_HEIGHT
+        """Per-level last slots strictly before ``order_key``.
+
+        Reads only each visited record's ``(key, seq)``.  Same cache
+        model as the storage skip list: level 0 cold, higher cold
+        levels cold only when stepping past a node, the rest hot.
+        """
+        slab = self.slab
+        read_order = slab.read_order
+        read_next = slab.read_next
+        cold_ns = slab.region.device.access_ns
+        charge = ctx.charge
         slot = self.head_slot
+        preds = [slot] * MAX_HEIGHT
         for level in range(MAX_HEIGHT - 1, -1, -1):
-            nxt = self.slab.read_next(slot, level)
+            nxt = read_next(slot, level)
             while nxt:
-                record = self.slab.read_record(nxt - 1)
-                advanced = self._order(record.key, record.seq) < order_key
-                self._charge_visit(ctx, level, advanced)
-                if advanced:
-                    slot = nxt - 1
-                    nxt = self.slab.read_next(slot, level)
+                key, seq = read_order(nxt - 1)
+                advanced = (key, MAX_SEQ - seq) < order_key
+                if level == 0 or (level < COLD_LEVELS and advanced):
+                    charge(cold_ns, "datamgmt.insert")
                 else:
+                    charge(HOT_VISIT_NS, "datamgmt.insert")
+                if not advanced:
                     break
+                slot = nxt - 1
+                nxt = read_next(slot, level)
             preds[level] = slot
         return preds
 

@@ -65,6 +65,9 @@ INLINE_FRAGS = 4
 MAX_KEY = RECORD_SIZE - 144
 
 _FIXED = struct.Struct("<BBBBHHQQIIQ")  # bytes [8:48)
+#: magic, record_crc, kind, flags, height, nfrags, key_len, reserved,
+#: seq: bytes [0:24), what a skip-list walk needs of a record.
+_ORDER = struct.Struct("<IIBBBBHHQ")
 _FRAG = struct.Struct("<IHH")
 _NEXT_OFF = 80
 _KEY_OFF = 144
@@ -78,6 +81,16 @@ SLAB_ALLOC_NS = 100.0
 
 class SlabExhausted(MemoryError):
     """No free metadata slots."""
+
+
+def _check_shape(magic, height, nfrags):
+    """Raise ``ValueError`` where a decoded record would be rejected."""
+    if magic != RECORD_MAGIC:
+        raise ValueError("bad record magic")
+    if height > MAX_HEIGHT:
+        raise ValueError(f"height {height} exceeds {MAX_HEIGHT}")
+    if nfrags > INLINE_FRAGS:
+        raise ValueError("more than INLINE_FRAGS frags need a continuation record")
 
 
 class PPktRecord:
@@ -147,12 +160,10 @@ class PPktRecord:
     @classmethod
     def decode(cls, blob, check=True):
         """Parse a record; raises ValueError on magic/CRC failure if ``check``."""
-        (magic,) = struct.unpack_from("<I", blob, 0)
-        if magic != RECORD_MAGIC:
-            raise ValueError("bad record magic")
-        (stored_crc,) = struct.unpack_from("<I", blob, 4)
+        magic, stored_crc = struct.unpack_from("<II", blob, 0)
         (kind, flags, height, nfrags, key_len, _rsvd, seq,
          hw_tstamp, wire_csum, value_len, cont) = _FIXED.unpack_from(blob, 8)
+        _check_shape(magic, height, nfrags)
         frags = []
         for index in range(nfrags):
             frags.append(_FRAG.unpack_from(blob, _FRAG_OFF + _FRAG.size * index))
@@ -261,11 +272,26 @@ class PMetaSlab:
         return PPktRecord.decode(self.region.read(self.slot_base(slot), RECORD_SIZE),
                                  check=check)
 
+    def read_order(self, slot):
+        """``(key, seq)`` of the record in ``slot``: its skip-list order.
+
+        Reads the 24-byte header and the key straight from the device
+        image, none of the fragment or link area, and rejects a record
+        exactly where ``read_record(slot)`` does: a slot out of range,
+        bad magic, too high, too many fragments.  The key is capped at
+        the record end.  No CRC check, as in ``read_record``.
+        """
+        # In range, a slot lies wholly inside the region.
+        start = self.region.base + self.slot_base(slot)
+        data = self.region.device.data
+        (magic, _crc, _kind, _flags, height, nfrags, key_len, _rsvd,
+         seq) = _ORDER.unpack_from(data, start)
+        _check_shape(magic, height, nfrags)
+        start += _KEY_OFF
+        return data[start:start + min(key_len, MAX_KEY)], seq
+
     def read_next(self, slot, level):
-        (nxt,) = struct.unpack(
-            "<Q", self.region.read(self.slot_base(slot) + _NEXT_OFF + 8 * level, 8)
-        )
-        return nxt
+        return self.region.read_u64(self.slot_base(slot) + _NEXT_OFF + 8 * level)
 
     def write_next(self, slot, level, target, ctx=NULL_CONTEXT, fence=True):
         addr = self.slot_base(slot) + _NEXT_OFF + 8 * level

@@ -15,18 +15,25 @@ tests verify actual bit-level behaviour (corruption detection, known
 vectors).
 
 Implementation note: these run on the wall-clock hot path of every
-simulated frame and every stored value, so the word loops are hoisted
-into ``struct`` bulk unpacks and the CRC uses slicing-by-8 with a
-small memo for repeated values.  The *results* are bit-identical to
-the reference byte loops (tests/test_net_checksum.py pins both against
-known vectors and a reference implementation).
+simulated frame and every stored value.  The internet checksum sums
+its words in one ``struct`` bulk unpack.  CRC32C treats a value longer
+than ``_SHORT`` bytes as one polynomial over GF(2), held in a single
+Python integer: the input's bits are reversed per byte
+(``bytes.translate``) so that ``int.from_bytes`` puts the first bit
+transmitted at the top, and the polynomial is then folded in halves —
+``a ≡ (a mod x^s) ^ (a >> s) · (x^s mod P)``, the carry-less multiply
+by the 32-bit constant being an XOR of shifted copies — until at most
+``_FOLD_END`` bits are left, which the classic byte-table loop
+finishes.  Short values go straight to that loop, and a small memo
+serves repeated values.  The *results* are bit-identical to the
+bitwise definition (tests/test_net_checksum.py pins them against known
+vectors and a bitwise reference).
 """
 
 import struct
 
-# CRC32C (Castagnoli) slicing-by-8 tables, generated once at import.
-# _CRC32C_TABLE (table 0) is the classic byte-at-a-time table; tables
-# 1..7 extend it so eight input bytes fold in one step.
+# CRC32C (Castagnoli), reflected form: bit 0 of the register holds the
+# highest-degree coefficient.  The classic byte-at-a-time table.
 _CRC32C_POLY = 0x82F63B78
 _CRC32C_TABLE = []
 for _i in range(256):
@@ -35,14 +42,44 @@ for _i in range(256):
         _crc = (_crc >> 1) ^ _CRC32C_POLY if _crc & 1 else _crc >> 1
     _CRC32C_TABLE.append(_crc)
 
-_CRC32C_SLICES = [list(_CRC32C_TABLE)]
-for _k in range(1, 8):
-    _prev = _CRC32C_SLICES[_k - 1]
-    _CRC32C_SLICES.append(
-        [_CRC32C_TABLE[_prev[_i] & 0xFF] ^ (_prev[_i] >> 8)
-         for _i in range(256)]
-    )
-_T0, _T1, _T2, _T3, _T4, _T5, _T6, _T7 = _CRC32C_SLICES
+#: The same polynomial in normal (MSB-first) form, x^32 term included.
+_P = 0x11EDC6F41
+#: ``bytes.translate`` table that reverses the bits of each byte.
+_REVERSE = bytes(int(f"{_b:08b}"[::-1], 2) for _b in range(256))
+
+
+def _mulmod(a, b):
+    """``a * b mod P`` over GF(2), for ``a, b`` of degree below 32."""
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        b >>= 1
+        a <<= 1
+        if a >> 32:
+            a ^= _P
+    return product
+
+
+#: Values up to this many bytes take the byte loop directly.
+_SHORT = 64
+#: Fold widths are ``2^k + 32`` bits for k in [_FOLD_K0, 32): folding
+#: a polynomial of at most ``2^(k+1) + 32`` bits at ``2^k + 32`` leaves
+#: at most ``2^k + 32``, so each fold halves it.  Each entry is the
+#: width and the set-bit positions of ``x^width mod P``.
+_FOLD_K0 = 7
+_FOLDS = []
+_power = 2  # x, squared below to x^(2^k) mod P
+for _ in range(_FOLD_K0):
+    _power = _mulmod(_power, _power)
+for _k in range(_FOLD_K0, 32):
+    _const = _mulmod(_power, _P ^ (1 << 32))  # times x^32 mod P
+    _FOLDS.append(((1 << _k) + 32,
+                   tuple(_j for _j in range(32) if _const >> _j & 1)))
+    _power = _mulmod(_power, _power)
+_FOLD_TOP = len(_FOLDS) - 1
+#: Folding stops at this many bits; the byte loop takes the rest.
+_FOLD_END = (1 << _FOLD_K0) + 32
 
 #: Bounded value -> CRC memo.  Stores repeatedly checksum the same
 #: value bytes (wrk reuses one payload per run; LevelDB-style verify
@@ -54,7 +91,11 @@ _CRC_MEMO_VALUE_MAX = 1 << 16
 
 
 def crc32c(data, seed=0):
-    """CRC32C (Castagnoli) of ``data``; matches the common library value."""
+    """CRC32C (Castagnoli) of ``data``; matches the common library value.
+
+    ``crc32c(a + b) == crc32c(b, seed=crc32c(a))``, so a CRC can be
+    chained over chunks.
+    """
     memo_key = None
     if seed == 0 and type(data) is bytes and len(data) <= _CRC_MEMO_VALUE_MAX:
         memo_key = data
@@ -63,26 +104,31 @@ def crc32c(data, seed=0):
             return cached
     crc = seed ^ 0xFFFFFFFF
     length = len(data)
-    nquads = length >> 3
-    offset = nquads << 3
-    if nquads:
-        for (quad,) in struct.iter_unpack("<Q", memoryview(data)[:offset]):
-            quad ^= crc
-            low = quad & 0xFFFFFFFF
-            high = quad >> 32
-            crc = (
-                _T7[low & 0xFF]
-                ^ _T6[(low >> 8) & 0xFF]
-                ^ _T5[(low >> 16) & 0xFF]
-                ^ _T4[low >> 24]
-                ^ _T3[high & 0xFF]
-                ^ _T2[(high >> 8) & 0xFF]
-                ^ _T1[(high >> 16) & 0xFF]
-                ^ _T0[high >> 24]
-            )
+    if length > _SHORT:
+        # The register's start value is XORed into the first four
+        # bytes; the folded remainder is then CRCed from zero.
+        if type(data) is not bytes and type(data) is not bytearray:
+            data = bytes(data)
+        nbits = length << 3
+        poly = int.from_bytes(data.translate(_REVERSE), "big") ^ (
+            int.from_bytes(crc.to_bytes(4, "little").translate(_REVERSE), "big")
+            << (nbits - 32)
+        )
+        folds = _FOLDS
+        while nbits > _FOLD_END:
+            index = (nbits - 33).bit_length() - 1 - _FOLD_K0
+            width, shifts = folds[index if index < _FOLD_TOP else _FOLD_TOP]
+            high = poly >> width
+            product = 0
+            for shift in shifts:
+                product ^= high << shift
+            poly ^= product ^ (high << width)  # low part + high * const
+            nbits = max(width, nbits - width + 32)
+        data = poly.to_bytes((nbits + 7) >> 3, "big").translate(_REVERSE)
+        crc = 0
     table = _CRC32C_TABLE
-    for index in range(offset, length):
-        crc = table[(crc ^ data[index]) & 0xFF] ^ (crc >> 8)
+    for byte in data:
+        crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
     crc ^= 0xFFFFFFFF
     if memo_key is not None:
         if len(_CRC_MEMO) >= _CRC_MEMO_MAX:

@@ -247,19 +247,6 @@ class RegionSkipList:
         key = self._node_key(node_off, key_len, height)
         return self._node_crc(header20, key) == node_crc
 
-    # ------------------------------------------------------------ cost charges
-
-    def _charge_visit(self, ctx, level, advanced=True):
-        # Level 0 is always cold (every node there is unique memory);
-        # on the next cold_levels-1 levels only nodes we actually step
-        # past are cold — the boundary node that ends the walk was just
-        # read at the level above and is still cached.
-        cold = level == 0 or (level < self.cold_levels and advanced)
-        if cold:
-            self.region.charge_access(ctx, 1, self.insert_category)
-        else:
-            ctx.charge(HOT_VISIT_NS, self.insert_category)
-
     # ----------------------------------------------------------------- ordering
 
     @staticmethod
@@ -268,35 +255,56 @@ class RegionSkipList:
         return (key, MAX_SEQ - seq)
 
     def _find_predecessors(self, order_key, ctx):
-        """Per-level last nodes strictly before ``order_key``."""
-        preds = [self.head_off] * MAX_HEIGHT
-        node = self.head_off
-        # The walk dominates every insert; alias the per-visit helpers
-        # and charge inline (identical amounts/categories to
-        # :meth:`_charge_visit`, which the non-hot paths still use).
+        """Per-level last nodes strictly before ``order_key``.
+
+        The walk dominates every insert, so it reads only what it
+        compares, straight from the device image: per visited node one
+        header unpack, one key slice and, when it steps past the node,
+        one next pointer.  Each read is bounds-checked against the
+        region first, raising from ``Region._check`` like the
+        :class:`~repro.pm.device.Region` accessors.
+
+        Cache model: level 0 is always cold (every node there is unique
+        memory); on the next ``cold_levels - 1`` levels only nodes the
+        walk steps past are cold — the boundary node that ends the walk
+        was just read at the level above and is still cached.  Cold
+        visits cost a device access, hot ones ``HOT_VISIT_NS``.
+        """
         region = self.region
-        next_of = self._next_of
-        header_of = self._header
-        node_key = self._node_key
+        data = region.device.data
+        base = region.base
+        size = region.size
+        unpack = HEADER.unpack_from
+        from_bytes = int.from_bytes
         category = self.insert_category
         cold_levels = self.cold_levels
         cold_ns = region.device.access_ns
         charge = ctx.charge
+        node = self.head_off
+        preds = [node] * MAX_HEIGHT
         for level in range(MAX_HEIGHT - 1, -1, -1):
-            nxt = next_of(node, level)
-            while nxt:
-                key_len, _vl, height, _fl, seq, _vc, _nc = header_of(nxt)
-                key = node_key(nxt, key_len, height)
-                advanced = (key, MAX_SEQ - seq) < order_key
+            while True:
+                link = node + HEADER_SIZE + 8 * level
+                if link + 8 > size:
+                    region._check(link, 8)
+                nxt = from_bytes(data[base + link:base + link + 8], "little")
+                if not nxt:
+                    break
+                if nxt + HEADER_SIZE > size:
+                    region._check(nxt, HEADER_SIZE)
+                key_len, _vl, height, _fl, seq, _vc, _nc = unpack(data, base + nxt)
+                key_at = nxt + HEADER_SIZE + 8 * height
+                if key_at + key_len > size:
+                    region._check(key_at, key_len)
+                key_at += base
+                advanced = (data[key_at:key_at + key_len], MAX_SEQ - seq) < order_key
                 if level == 0 or (level < cold_levels and advanced):
                     charge(cold_ns, category)
                 else:
                     charge(HOT_VISIT_NS, category)
-                if advanced:
-                    node = nxt
-                    nxt = next_of(node, level)
-                else:
+                if not advanced:
                     break
+                node = nxt
             preds[level] = node
         return preds
 

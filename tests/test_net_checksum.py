@@ -1,9 +1,12 @@
 """Unit + property tests for checksums."""
 
+import random
 import struct
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.net import checksum
 from repro.net.checksum import (
     checksum_finish,
     checksum_partial,
@@ -11,6 +14,26 @@ from repro.net.checksum import (
     internet_checksum,
     verify_internet_checksum,
 )
+
+
+def bitwise_crc32c(data, seed=0):
+    """CRC32C straight from its definition: one register shift per bit."""
+    crc = seed ^ 0xFFFFFFFF
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ (0x82F63B78 if crc & 1 else 0)
+    return crc ^ 0xFFFFFFFF
+
+
+def _crc_lengths():
+    """Every length to 300, both sides of each fold width, 4 KB, 64 KB+1."""
+    lengths = set(range(301)) | {4096, (64 << 10) + 1}
+    for width_bits, _shifts in checksum._FOLDS:
+        width = width_bits // 8
+        if width <= (64 << 10) + 2:
+            lengths |= {width - 1, width, width + 1}
+    return sorted(lengths)
 
 
 class TestCrc32c:
@@ -26,13 +49,22 @@ class TestCrc32c:
         data[7] ^= 0x20
         assert crc32c(bytes(data)) != original
 
-    def test_seed_chains_incrementally(self):
-        whole = crc32c(b"hello world")
-        # Chaining is not plain concatenation of CRCs, but the same
-        # seed-in/seed-out discipline must be deterministic.
-        part = crc32c(b"world", seed=crc32c(b"hello"))
-        assert isinstance(part, int)
-        assert whole != crc32c(b"hello")
+    @pytest.mark.parametrize("length", _crc_lengths())
+    def test_matches_bitwise_reference(self, length):
+        rng = random.Random(length)
+        data = rng.randbytes(length)
+        seed = rng.getrandbits(32)
+        for seed_in in (0, seed):
+            expected = bitwise_crc32c(data, seed_in)
+            # bytearray and memoryview first: the memo keys only bytes.
+            for view in (bytearray(data), memoryview(data), data):
+                assert crc32c(view, seed_in) == expected, (length, type(view))
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.binary(max_size=400), b=st.binary(max_size=400))
+    def test_seed_chains_incrementally(self, a, b):
+        """``PacketFS.ingest`` chains chunk CRCs this way; ``read`` checks it."""
+        assert crc32c(a + b) == crc32c(b, seed=crc32c(a))
 
 
 class TestInternetChecksum:
