@@ -75,6 +75,12 @@ class PacketStore:
         self._refs = {}
         #: buffer slot -> a live PacketBuffer handle (for zero-copy tx).
         self._buffers = {}
+        #: Volatile victim maps, record slot -> order key, that ``gc``
+        #: unlinks: versions a newer put superseded, and tombstones that
+        #: are still their key's newest version.  ``put`` fills them at
+        #: commit; ``recover`` rebuilds them in its level-0 walk.
+        self._superseded = {}
+        self._tombstones = {}
         self.count = 0
         self.stats = {"puts": 0, "gets": 0, "deletes": 0, "frag_chains": 0}
 
@@ -102,6 +108,7 @@ class PacketStore:
         reachable = {head_slot}
         materialized = {}
         max_seq = 0
+        last_key = None
         prev = head_slot
         cursor = slab.read_next(head_slot, 0)
         while cursor:
@@ -120,6 +127,15 @@ class PacketStore:
             refs = store._adopt_frags(slot, record, slab, materialized, reachable, report)
             store._refs[slot] = refs
             store._buffers.update(materialized)
+            # Level 0 is in order-key order: a key's first node is its
+            # newest version, every later one is superseded.
+            order = store._order(record.key, record.seq)
+            if record.key == last_key:
+                store._superseded[slot] = order
+            else:
+                last_key = record.key
+                if record.tombstone:
+                    store._tombstones[slot] = order
             max_seq = max(max_seq, record.seq)
             store.count += 1
             report.recovered += 1
@@ -252,7 +268,8 @@ class PacketStore:
             self.pool.region.fence(ctx, "persist")
 
         # 2. Index traversal (the only data-management cost that remains).
-        preds = self._find_predecessors(self._order(key, seq), ctx)
+        order = self._order(key, seq)
+        preds = self._find_predecessors(order, ctx)
         height = self._random_height()
 
         # 3. Continuation records for > INLINE_FRAGS fragments.
@@ -319,6 +336,17 @@ class PacketStore:
         if height > 1:
             self.slab.region.fence(ctx, "persist")
         self.count += 1
+
+        # 6. Mark gc's victims.  The new version has the largest seq, so
+        # it links directly before its key's previous newest version.
+        nxt = record.nexts[0]
+        if nxt:
+            old_key, old_seq = self.slab.read_order(nxt - 1)
+            if old_key == key:
+                self._superseded[nxt - 1] = self._order(key, old_seq)
+                self._tombstones.pop(nxt - 1, None)
+        if tombstone:
+            self._tombstones[node_slot] = order
         return seq
 
     def delete(self, key, ctx=NULL_CONTEXT):
@@ -352,6 +380,8 @@ class PacketStore:
             self.slab.free(cont - 1, ctx)
             cont = cont_record.cont
         self.slab.free(node_slot, ctx)
+        self._superseded.pop(node_slot, None)
+        self._tombstones.pop(node_slot, None)
         # Drop our payload references; fully-released buffers leave the map.
         for buf in self._refs.pop(node_slot, []):
             if buf.put() == 0:
@@ -366,22 +396,20 @@ class PacketStore:
         a newest-version tombstone is dropped entirely (single-level
         store: nothing older can resurface).  Returns the number of
         records reclaimed.
+
+        No scan finds the victims: the volatile victim maps already hold
+        them, each slot with its order key.  ``put`` marks the version
+        it supersedes, which is always its level-0 successor, and its
+        own node if it is a tombstone; a superseded tombstone moves
+        from the tombstone map to the superseded one.  ``recover``
+        rebuilds both maps in its level-0 walk.  Victims are unlinked
+        in order-key order, the order of the level-0 list.
         """
-        victims = []
-        last_key = None
-        cursor = self.slab.read_next(self.head_slot, 0)
-        while cursor:
-            slot = cursor - 1
-            record = self.slab.read_record(slot)
-            cursor = self.slab.read_next(slot, 0)
-            if record.key == last_key:
-                victims.append((slot, record))       # superseded version
-            else:
-                last_key = record.key
-                if drop_tombstones and record.tombstone:
-                    victims.append((slot, record))   # newest is a delete
-        for slot, record in victims:
-            self._unlink(slot, record, ctx)
+        victims = dict(self._superseded)
+        if drop_tombstones:
+            victims.update(self._tombstones)
+        for slot in sorted(victims, key=victims.__getitem__):
+            self._unlink(slot, self.slab.read_record(slot), ctx)
         return len(victims)
 
     # ------------------------------------------------------------------- reads
@@ -389,10 +417,7 @@ class PacketStore:
     def _first_version_slot(self, key, ctx):
         preds = self._find_predecessors(self._order(key, MAX_SEQ), ctx)
         nxt = self.slab.read_next(preds[0], 0)
-        if not nxt:
-            return None
-        record = self.slab.read_record(nxt - 1)
-        if record.key != key:
+        if not nxt or self.slab.read_order(nxt - 1)[0] != key:
             return None
         return nxt - 1
 

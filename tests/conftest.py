@@ -1,4 +1,5 @@
-"""Suite-wide fixtures: the ``--pmsan`` sanitized lane.
+"""Suite-wide fixtures: the ``--pmsan`` sanitized lane, and one lint
+of the source tree shared by every test that inspects it.
 
 ``pytest --pmsan`` wraps every test in a suite-mode
 :class:`repro.analysis.pmsan.PMSan`: packet-buffer handles dropped
@@ -66,3 +67,11 @@ def _pmsan_guard(request):
         )
     for finding in report.diagnostics:
         print(finding.format())
+
+
+@pytest.fixture(scope="session")
+def src_lint_report():
+    """``repro-lint src/repro`` once per session (the tree is slow to lint)."""
+    from repro.analysis import pmlint
+
+    return pmlint.run_lint(["src/repro"], root=".")

@@ -148,16 +148,17 @@ class TestDeterminismRule:
 
 
 class TestTreeIsClean:
-    """The acceptance criterion: ``repro-lint src/`` exits clean."""
+    """The acceptance criterion: the default (interprocedural) lint of
+    ``src/`` is clean, with at most five reasoned suppressions."""
 
-    def test_src_tree_has_no_active_findings(self):
-        report = pmlint.run_lint(["src/repro"], root=".")
-        assert report.ok, report.summary()
+    def test_src_tree_has_no_active_findings(self, src_lint_report):
+        assert src_lint_report.ok, src_lint_report.summary()
 
-    def test_every_suppression_in_tree_is_documented(self):
-        report = pmlint.run_lint(["src/repro"], root=".")
-        assert report.suppressed, "expected the documented suppressions"
-        for finding in report.suppressed:
+    def test_every_suppression_in_tree_is_documented(self, src_lint_report):
+        suppressed = src_lint_report.suppressed
+        assert suppressed, "expected the documented suppressions"
+        assert len(suppressed) <= 5
+        for finding in suppressed:
             assert finding.reason and len(finding.reason) > 10, finding.format()
 
 

@@ -1,13 +1,13 @@
 """Tests for packet-store garbage collection (space reclamation)."""
 
-import random
-
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.pktstore import PacketStore
+from repro.core.ppktbuf import SlabExhausted
 from repro.net.pool import BufferPool
 from repro.pm.device import PMDevice
 from repro.pm.namespace import PMNamespace
+from repro.sim.context import ExecutionContext
 
 
 def make_store(pool_slots=256, meta_bytes=1 << 20):
@@ -140,3 +140,128 @@ def test_property_gc_never_changes_visible_contents(ops):
         assert dict(store.scan()) == {k: v for k, v in sorted(model.items())}
     store.gc()
     assert dict(store.scan()) == model
+
+
+# ---------------------------------------------------------------- differential
+
+def reference_gc(store, ctx, drop_tombstones=True):
+    """The full-scan gc the victim maps replaced, kept as the reference.
+
+    Walks the whole level-0 list, decoding every record, and unlinks a
+    key's every version but the newest, plus a newest tombstone.
+    Returns the victim slots in unlink order.
+    """
+    victims = []
+    last_key = None
+    cursor = store.slab.read_next(store.head_slot, 0)
+    while cursor:
+        slot = cursor - 1
+        record = store.slab.read_record(slot)
+        cursor = store.slab.read_next(slot, 0)
+        if record.key == last_key:
+            victims.append((slot, record))
+        else:
+            last_key = record.key
+            if drop_tombstones and record.tombstone:
+                victims.append((slot, record))
+    for slot, record in victims:
+        store._unlink(slot, record, ctx)
+    return [slot for slot, _record in victims]
+
+
+class _World:
+    """One packet store on its own PM device, with a metadata slab of
+    only 8 slots so puts run into ``SlabExhausted``."""
+
+    def __init__(self):
+        self.store, self.pool, self.dev, _ns = make_store(
+            pool_slots=128, meta_bytes=64 + 8 * 256)
+
+    def crash_and_recover(self, ctx):
+        self.dev.crash()
+        ns = PMNamespace.reopen(self.dev)
+        self.pool = BufferPool(ns.open("pool"), 2048)
+        self.store, report = PacketStore.recover(ns.open("meta"), self.pool,
+                                                 ctx=ctx)
+        return report.recovered, report.discarded_records
+
+    def put(self, key, pieces, ctx):
+        frags = [frag for piece in pieces for frag in adopt(self.pool, piece)]
+        try:
+            return self.store.put(key, frags, sum(map(len, pieces)), 0, 0, ctx)
+        except SlabExhausted:
+            return "exhausted"
+
+    def delete(self, key, ctx):
+        try:
+            return self.store.delete(key, ctx)
+        except SlabExhausted:
+            return "exhausted"
+
+    def gc(self, ctx, drop_tombstones):
+        """The store's own gc; returns the slots it unlinked, in order."""
+        store = self.store
+        unlinked = []
+        unlink = store._unlink
+
+        def spy(node_slot, record, ctx):
+            unlinked.append(node_slot)
+            unlink(node_slot, record, ctx)
+
+        store._unlink = spy
+        try:
+            reclaimed = store.gc(ctx, drop_tombstones=drop_tombstones)
+        finally:
+            del store._unlink
+        assert reclaimed == len(unlinked)
+        return unlinked
+
+    def state(self):
+        return (list(self.store.scan()), self.store.count,
+                self.store.slab.used, self.pool.in_use)
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.integers(0, 4), st.integers(1, 6)),
+        st.tuples(st.just("del"), st.integers(0, 4)),
+        st.tuples(st.just("gc"), st.booleans()),
+        st.tuples(st.just("crash")),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_OPS)
+@example(ops=[("put", 0, 1), ("put", 0, 1), ("gc", False)])
+@example(ops=[("put", 0, 1), ("del", 0), ("put", 1, 1), ("gc", True)])
+@example(ops=[("put", 0, 5), ("put", 0, 1), ("del", 1), ("crash",),
+              ("gc", True)])
+@example(ops=[("put", 0, 6)] * 8 + [("gc", True), ("put", 1, 1)])
+def test_property_gc_matches_full_scan_reference(ops):
+    """The victim maps reclaim exactly what the full scan did: the same
+    slots in the same order, the same charges, the same contents."""
+    mine, ref = _World(), _World()
+    for step, op in enumerate(ops):
+        ctx_mine, ctx_ref = ExecutionContext(trace=True), ExecutionContext(trace=True)
+        if op[0] == "put":
+            key = f"key-{op[1]}".encode()
+            pieces = [f"{step}.{i}".encode() for i in range(op[2])]
+            got = mine.put(key, pieces, ctx_mine), ref.put(key, pieces, ctx_ref)
+        elif op[0] == "del":
+            key = f"key-{op[1]}".encode()
+            got = mine.delete(key, ctx_mine), ref.delete(key, ctx_ref)
+        elif op[0] == "gc":
+            got = (mine.gc(ctx_mine, op[1]),
+                   reference_gc(ref.store, ctx_ref, op[1]))
+        else:
+            got = (mine.crash_and_recover(ctx_mine),
+                   ref.crash_and_recover(ctx_ref))
+        assert got[0] == got[1], (step, op)
+        assert ctx_mine.trace == ctx_ref.trace, (step, op)
+        assert mine.state() == ref.state(), (step, op)
+    final_mine, final_ref = ExecutionContext(trace=True), ExecutionContext(trace=True)
+    assert mine.gc(final_mine, True) == reference_gc(ref.store, final_ref)
+    assert final_mine.trace == final_ref.trace
+    assert mine.state() == ref.state()
