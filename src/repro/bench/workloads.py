@@ -5,16 +5,15 @@ users of a KV store usually characterise it with the YCSB mixes.  This
 module provides both behind a single :class:`TrafficSource` protocol —
 the same interface the chaos storms' burst phases and the capture
 replayer (:mod:`repro.capture.replay`) implement, so every consumer
-(`repro-stats`, `repro-chaoscheck`, the golden-trace scenarios in
-:mod:`repro.bench.golden`, `repro-capture replay`) drives traffic the
-same way:
+(`repro-stats`, `repro-chaoscheck`, `repro-bench-speed`, `repro-capture
+replay`) drives traffic the same way:
 
 - ``next_op(loop_id)`` returns the next ``(method, key, value)``
   operation for one closed loop, or ``None`` when that loop's stream
   is exhausted (open-ended sources never return ``None``);
 - sources are deterministic and seedable — two sources constructed
   with the same arguments emit byte-identical operation streams, which
-  is what lets the golden event digests pin runs exactly.
+  is what lets the bench-speed event digests pin runs exactly.
 
 The YCSB mixes over a Zipfian key popularity distribution (Gray et
 al.'s generator, as used by YCSB itself):

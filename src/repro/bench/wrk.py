@@ -547,7 +547,7 @@ class HomaWrkClient(WrkClient):
         )
         if conn.started is None:
             # A lambda, not the bound method: the golden event digests
-            # (repro.bench.golden) hash each fired hook's qualname.
+            # (repro.bench.speed) hash each fired hook's qualname.
             self.host.call_at_completion(
                 lambda t_end, c: conn._mark_sent(t_end, c)
             )

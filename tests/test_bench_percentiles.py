@@ -128,7 +128,7 @@ class TestCannedRunRegression:
 # --------------------------------------------------------------------------
 # bucket_quantile vs digest quantile on the wall-clock speed scenarios.
 #
-# The raw-speed overhaul (the hot-path rewrites repro.bench.golden pins)
+# The raw-speed overhaul (repro.bench.speed and its hot-path rewrites)
 # must not perturb the percentile machinery: the t-digest answer has to
 # stay inside the divergence bound the fixed buckets imply, both on the
 # committed golden snapshots (pre-optimization captures, so any drift in

@@ -1,9 +1,10 @@
 """Golden-trace equivalence: "faster" must never mean "different".
 
 The fixtures under tests/fixtures/speed_golden_*.json were captured
-from the canned scenarios (repro.bench.golden) BEFORE the raw-speed
-overhaul of the dispatch/checksum/header/device hot paths.  Each one
-pins the simulated results of a seeded run:
+from the canned wall-clock scenarios (repro.bench.speed) BEFORE the
+raw-speed overhaul of the dispatch/checksum/header/device hot paths,
+via ``repro-bench-speed --golden``.  Each one pins the simulated
+results of a seeded run:
 
 - the sha256 of the exact fired-event sequence (time, seq, callback),
 - op counts, simulated clock, wrk latency stats,
@@ -18,8 +19,8 @@ shows up as a digest mismatch here — which is what lets the perf work
 in this module's history claim "identical simulated results".
 
 To regenerate after an *intentional* behaviour change (never for a
-pure optimization):  PYTHONPATH=src python -m repro.bench.golden \
-    tests/fixtures
+pure optimization):  PYTHONPATH=src python -m repro.bench.speed \
+    --golden tests/fixtures
 """
 
 import json
@@ -27,7 +28,7 @@ import os
 
 import pytest
 
-from repro.bench.golden import SCENARIOS, main
+from repro.bench.speed import SCENARIOS, run_scenario
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -37,7 +38,7 @@ def _fixture_path(name):
 
 
 def _canonical(doc):
-    """The byte form ``main`` writes (sorted, 2-space indent)."""
+    """The byte form the --golden flag writes (sorted, 2-space indent)."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -45,13 +46,13 @@ def _canonical(doc):
 def test_fixture_exists(name):
     assert os.path.exists(_fixture_path(name)), (
         f"missing golden fixture for {name}; regenerate with "
-        f"PYTHONPATH=src python -m repro.bench.golden tests/fixtures"
+        f"PYTHONPATH=src python -m repro.bench.speed --golden tests/fixtures"
     )
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_reproduces_golden_fixture(name):
-    golden = SCENARIOS[name]()
+    golden = run_scenario(name, scale=1.0, golden=True)["golden"]
     with open(_fixture_path(name)) as handle:
         fixture_bytes = handle.read()
     fixture = json.loads(fixture_bytes)
@@ -71,19 +72,11 @@ def test_scenario_reproduces_golden_fixture(name):
 
 def test_goldens_are_deterministic_run_to_run():
     """Two in-process runs of the same scenario agree exactly."""
-    first = SCENARIOS["novelsm-ingest-recovery"]()
-    second = SCENARIOS["novelsm-ingest-recovery"]()
-    assert first == second
-
-
-def test_golden_capture_writes_fixture(tmp_path):
-    """The CLI writes the committed fixture's exact bytes."""
-    name = "novelsm-ingest-recovery"
-    code = main([str(tmp_path), "--scenario", name])
-    assert code == 0
-    written = (tmp_path / f"speed_golden_{name}.json").read_bytes()
-    with open(_fixture_path(name), "rb") as handle:
-        assert written == handle.read()
+    first = run_scenario("novelsm-ingest-recovery", scale=0.2, golden=True)
+    second = run_scenario("novelsm-ingest-recovery", scale=0.2, golden=True)
+    assert first["golden"] == second["golden"]
+    assert first["ops"] == second["ops"]
+    assert first["events"] == second["events"]
 
 
 def test_event_digest_covers_order():
