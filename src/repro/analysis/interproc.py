@@ -59,6 +59,8 @@ import hashlib
 import json
 import os
 
+from repro.analysis.pmlint import arg_names, dotted_name
+
 #: Method names that are persistence primitives when called on a
 #: region/device-like receiver.  ``sync`` is the block-device layer's
 #: fence; ``persist``/``persist_payload`` are flush+fence in one call.
@@ -114,19 +116,6 @@ def _buffer_like(receiver):
     return any(hint in last for hint in _BUF_RECEIVER_HINTS)
 
 
-def _receiver_text(node):
-    """Best-effort dotted source text of an expression (or None)."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = _receiver_text(node.value)
-        return f"{base}.{node.attr}" if base else None
-    if isinstance(node, ast.Call):
-        base = _receiver_text(node.func)
-        return f"{base}()" if base else None
-    return None
-
-
 def _receiver_matches_class(receiver, class_name):
     """Shape heuristic: `self.slab.x` plausibly targets PMetaSlab."""
     if receiver is None or class_name is None:
@@ -135,16 +124,6 @@ def _receiver_matches_class(receiver, class_name):
     if not last:
         return False
     return last in class_name.lower()
-
-
-def _arg_names(func_node):
-    args = func_node.args
-    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-    if args.vararg:
-        names.append(args.vararg.arg)
-    if args.kwarg:
-        names.append(args.kwarg.arg)
-    return names
 
 
 def _fence_param(func_node):
@@ -308,7 +287,7 @@ def _own_calls(func_node):
             if isinstance(child, ast.Call):
                 if isinstance(child.func, ast.Attribute):
                     calls.append((child, child.func.attr,
-                                  _receiver_text(child.func.value)))
+                                  dotted_name(child.func.value)))
                 elif isinstance(child.func, ast.Name):
                     calls.append((child, child.func.id, None))
             walk(child)
@@ -442,7 +421,7 @@ def extract_local_facts(func_node):
     facts.fence_param, facts.fence_default = _fence_param(func_node)
     calls = _own_calls(func_node)
     try_spans = _try_body_spans(func_node)
-    param_names = set(_arg_names(func_node))
+    param_names = set(arg_names(func_node))
 
     # A fence under ``if fence:`` in a fence=False-defaulting helper
     # does not run on the default path — dropping the event leaves the
@@ -599,7 +578,7 @@ class FunctionInfo:
         self.qualname = qualname
         self.name = node.name
         self.class_name = class_name
-        self.params = _arg_names(node)
+        self.params = arg_names(node)
         self.key = f"{module.path}::{qualname}"
 
     def __repr__(self):

@@ -160,7 +160,7 @@ def check_schema(doc):
         "storage_full", "errors", "abandoned", "churns", "handshakes",
         "resets", "backlog_peak", "backlog_at_stop", "p50_us", "p99_us",
         "p999_us", "digest_p50_us", "digest_p99_us", "digest_p999_us",
-        "avg_us", "degrade_decisions", "deferred", "reclaims",
+        "avg_us", "degrade_decisions", "reclaims",
         "pressure_transitions", "rx_exhaustions", "under_pressure_final",
     }
     for point in doc["points"]:
@@ -275,7 +275,6 @@ def run_point(rate_rps, args, report, containment=True):
         "digest_p99_us": stats.digest_percentile_us(99),
         "digest_p999_us": stats.digest_percentile_us(99.9),
         "degrade_decisions": overload_stats.get("degrade_decisions", 0),
-        "deferred": overload_stats.get("deferred", 0),
         "reclaims": overload_stats.get("reclaims", 0),
         "pressure_transitions": overload_stats.get("pressure_transitions", 0),
         "rx_exhaustions": testbed.server.rx_pool.exhaustions,

@@ -11,14 +11,14 @@ naive PM ports.
 
 This module is the control layer that keeps exhaustion survivable:
 
-- **Pressure sources** — anything with ``under_pressure`` +
-  ``add_pressure_listener`` (``BufferPool``, ``PMAllocator``, the
-  :class:`SlabPressure` adapter for :class:`~repro.core.ppktbuf.PMetaSlab`,
-  and :class:`QueuePressure` over a host's CPU run queues)
+- **Pressure sources** — every :class:`~repro.sim.pressure.PressureSignal`
+  (``BufferPool``, ``PMAllocator``, the :class:`SlabPressure` adapter
+  for :class:`~repro.core.ppktbuf.PMetaSlab`, the LSM engines' memtable
+  adapter and :class:`QueuePressure` over a host's CPU run queues)
   registers with :meth:`OverloadController.watch`.
-- **Admission control** — :meth:`OverloadController.admit` sheds (or,
-  optionally, defers) mutating requests while any source is pressured,
-  after first attempting reclamation.
+- **Admission control** — :meth:`OverloadController.admit` sheds
+  mutating requests while any source is pressured, after first
+  attempting reclamation.
 - **Emergency reclaim** — :meth:`OverloadController.relieve` runs the
   registered reclaimers (PacketStore GC, LSM rotate+flush) to free
   capacity off the request path.
@@ -36,6 +36,7 @@ from repro.core.ppktbuf import SlabExhausted
 from repro.net.pool import PoolExhausted
 from repro.pm.alloc import AllocationError
 from repro.sim.context import NULL_CONTEXT
+from repro.sim.pressure import PressureSignal
 
 #: The status-code contract for resource exhaustion.
 OVERLOADED = 503      # transient: shed request / packet pool empty — retry
@@ -62,7 +63,7 @@ def status_for_failure(exc):
     return None
 
 
-class SlabPressure:
+class SlabPressure(PressureSignal):
     """Watermark adapter giving :class:`PMetaSlab` the pressure protocol.
 
     The slab is a fixed-slot allocator without listeners of its own;
@@ -72,40 +73,18 @@ class SlabPressure:
     """
 
     def __init__(self, slab, high_watermark=0.9, low_watermark=0.7):
-        if not 0.0 < low_watermark <= high_watermark <= 1.0:
-            raise ValueError("need 0 < low_watermark <= high_watermark <= 1")
+        super().__init__(high_watermark, low_watermark)
         self.slab = slab
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
-        self.under_pressure = False
-        self.pressure_events = 0
-        self._pressure_listeners = []
 
     @property
     def occupancy(self):
         return self.slab.used / self.slab.nslots
 
-    def add_pressure_listener(self, callback):
-        self._pressure_listeners.append(callback)
-        return callback
-
-    def remove_pressure_listener(self, callback):
-        self._pressure_listeners.remove(callback)
-
     def update(self):
-        occ = self.occupancy
-        if not self.under_pressure and occ >= self.high_watermark:
-            self.under_pressure = True
-            self.pressure_events += 1
-            for listener in self._pressure_listeners:
-                listener(self, True)
-        elif self.under_pressure and occ < self.low_watermark:
-            self.under_pressure = False
-            for listener in self._pressure_listeners:
-                listener(self, False)
+        self.observe(self.occupancy)
 
 
-class QueuePressure:
+class QueuePressure(PressureSignal):
     """CPU-queue-delay pressure: the knee detector for open-loop load.
 
     Memory watermarks never fire past the CPU saturation knee when the
@@ -116,7 +95,8 @@ class QueuePressure:
     watches the *scheduling delay* of the least-loaded core (work
     steals to the emptiest queue, so the minimum is what a new request
     actually waits) and trips with hysteresis, giving the admission
-    path a signal that engages before the latency tail does.
+    path a signal that engages before the latency tail does.  Unlike
+    the occupancy sources it clears at ``low_ns`` inclusive.
 
     Polled via :meth:`update` like :class:`SlabPressure` — the
     controller calls it on every admission decision, so no timer is
@@ -124,15 +104,11 @@ class QueuePressure:
     gates.
     """
 
+    clears_at_low = True
+
     def __init__(self, host, high_ns=200_000.0, low_ns=50_000.0):
-        if not 0.0 < low_ns <= high_ns:
-            raise ValueError("need 0 < low_ns <= high_ns")
+        super().__init__(high_ns, low_ns, ceiling=float("inf"))
         self.host = host
-        self.high_ns = high_ns
-        self.low_ns = low_ns
-        self.under_pressure = False
-        self.pressure_events = 0
-        self._pressure_listeners = []
 
     @property
     def queue_delay_ns(self):
@@ -140,24 +116,8 @@ class QueuePressure:
         now = self.host.sim.now
         return min(core.queue_delay(now) for core in self.host.cpus.cores)
 
-    def add_pressure_listener(self, callback):
-        self._pressure_listeners.append(callback)
-        return callback
-
-    def remove_pressure_listener(self, callback):
-        self._pressure_listeners.remove(callback)
-
     def update(self):
-        delay = self.queue_delay_ns
-        if not self.under_pressure and delay >= self.high_ns:
-            self.under_pressure = True
-            self.pressure_events += 1
-            for listener in self._pressure_listeners:
-                listener(self, True)
-        elif self.under_pressure and delay <= self.low_ns:
-            self.under_pressure = False
-            for listener in self._pressure_listeners:
-                listener(self, False)
+        self.observe(self.queue_delay_ns)
 
 
 class OverloadController:
@@ -167,30 +127,15 @@ class OverloadController:
     :meth:`add_reclaimer` (``fn(ctx) -> freed_count``); the KV servers
     do this automatically for the host pools and their engine when
     handed a controller.
-
-    ``max_deferred > 0`` parks shed requests in a bounded queue and
-    replays them when pressure clears instead of answering 503.
-    Deferral keeps the request's packet references alive while parked,
-    so it only helps when the pressured resource is *not* the rx pool
-    the request occupies — shedding is the safe default.
     """
 
-    def __init__(self, sim=None, shed_on_pressure=True,
-                 degrade_zero_copy=True, reclaim_on_pressure=True,
-                 max_deferred=0):
-        self.sim = sim
-        self.shed_on_pressure = shed_on_pressure
-        self.degrade_zero_copy = degrade_zero_copy
-        self.reclaim_on_pressure = reclaim_on_pressure
-        self.max_deferred = max_deferred
+    def __init__(self):
         self._sources = []
         self._polled = []       # sources needing explicit update() polls
         self._reclaimers = []
-        self._deferred = []
-        self._drain_scheduled = False
         self.stats = {
-            "shed": 0, "deferred": 0, "replayed": 0, "reclaims": 0,
-            "reclaimed": 0, "pressure_transitions": 0, "degrade_decisions": 0,
+            "shed": 0, "reclaims": 0, "reclaimed": 0,
+            "pressure_transitions": 0, "degrade_decisions": 0,
         }
 
     # -- wiring ---------------------------------------------------------------
@@ -205,10 +150,6 @@ class OverloadController:
             self._polled.append(source)
         return source
 
-    def watch_slab(self, slab, high_watermark=0.9, low_watermark=0.7):
-        """Convenience: wrap a :class:`PMetaSlab` and watch it."""
-        return self.watch(SlabPressure(slab, high_watermark, low_watermark))
-
     def add_reclaimer(self, fn):
         """Register an emergency reclaimer: ``fn(ctx) -> freed count``."""
         if fn not in self._reclaimers:
@@ -217,8 +158,6 @@ class OverloadController:
 
     def _on_pressure(self, source, pressured):
         self.stats["pressure_transitions"] += 1
-        if not pressured and self._deferred:
-            self._schedule_drain()
 
     # -- decisions ------------------------------------------------------------
 
@@ -232,23 +171,19 @@ class OverloadController:
         """Admission decision for one mutating request.
 
         Under pressure this first attempts emergency reclamation; only
-        if pressure persists is the request shed (False).  Callers that
-        prefer deferral use :meth:`try_defer` on a False return.
+        if pressure persists is the request shed (False).
         """
         if not self.under_pressure:
             return True
-        if self.reclaim_on_pressure:
-            self.relieve(ctx)
-            if not self.under_pressure:
-                return True
-        if self.shed_on_pressure:
-            self.stats["shed"] += 1
-            return False
-        return True
+        self.relieve(ctx)
+        if not self.under_pressure:
+            return True
+        self.stats["shed"] += 1
+        return False
 
     def should_degrade_zero_copy(self):
         """True while GETs should answer from the copy path."""
-        degrade = self.degrade_zero_copy and self.under_pressure
+        degrade = self.under_pressure
         if degrade:
             self.stats["degrade_decisions"] += 1
         return degrade
@@ -263,38 +198,6 @@ class OverloadController:
             freed += reclaim(ctx) or 0
         self.stats["reclaimed"] += freed
         return freed
-
-    # -- deferral -------------------------------------------------------------
-
-    def try_defer(self, thunk):
-        """Park ``thunk`` for replay when pressure clears.
-
-        Returns False (caller should shed) when deferral is disabled or
-        the queue is full.  The thunk must be self-contained: it re-runs
-        the request end to end, including releasing its references.
-        """
-        if self.max_deferred <= 0 or len(self._deferred) >= self.max_deferred:
-            return False
-        self._deferred.append(thunk)
-        self.stats["deferred"] += 1
-        return True
-
-    def _schedule_drain(self):
-        # Pressure listeners fire from inside allocator bookkeeping —
-        # never re-enter request processing from there.  Replay in a
-        # fresh simulation event (or lazily, at the next admit, when no
-        # simulator is attached).
-        if self.sim is None or self._drain_scheduled:
-            return
-        self._drain_scheduled = True
-        self.sim.schedule(0, self._drain_deferred)
-
-    def _drain_deferred(self):
-        self._drain_scheduled = False
-        while self._deferred and not self.under_pressure:
-            thunk = self._deferred.pop(0)
-            self.stats["replayed"] += 1
-            thunk()
 
     def __repr__(self):
         pressured = [s for s in self._sources if s.under_pressure]

@@ -263,15 +263,6 @@ class PktFS:
 
     # ------------------------------------------------------------------ reads
 
-    def _extents(self, record):
-        frags = list(record.frags)
-        cont = record.cont
-        while cont:
-            cont_record = self.slab.read_record(cont - 1)
-            frags.extend(cont_record.frags)
-            cont = cont_record.cont
-        return frags
-
     def read(self, name, ctx=NULL_CONTEXT, verify=False):
         """The whole file as bytes."""
         _prev, slot, record = self._find(name)
@@ -280,7 +271,7 @@ class PktFS:
         self.stats["reads"] += 1
         data = b"".join(
             self.pool.region.read(self.pool.slot_region_base(buf_slot) + off, length)
-            for buf_slot, off, length in self._extents(record)
+            for buf_slot, off, length in self.slab.read_frags(record)
         )
         if verify and crc32c(data) != record.wire_csum:
             raise PktFSError(f"{name!r}: content checksum mismatch")
@@ -294,7 +285,7 @@ class PktFS:
         by_slot = {buf.slot: buf for buf in self._refs.get(slot, [])}
         return [
             (by_slot[buf_slot], off, length)
-            for buf_slot, off, length in self._extents(record)
+            for buf_slot, off, length in self.slab.read_frags(record)
         ]
 
     def send_file(self, name, socket, ctx=NULL_CONTEXT):
@@ -311,7 +302,8 @@ class PktFS:
             raise PktFSError(f"no such file: {name!r}")
         return FileStat(
             record.key.decode(errors="replace"), record.value_len,
-            record.hw_tstamp, record.wire_csum, len(self._extents(record)),
+            record.hw_tstamp, record.wire_csum,
+            len(self.slab.read_frags(record)),
         )
 
     # ----------------------------------------------------------------- unlink

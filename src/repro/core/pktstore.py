@@ -49,7 +49,7 @@ from repro.core.ppktbuf import (
     SlabExhausted,
 )
 from repro.core.recovery import RecoveryReport
-from repro.net.nic import _tcp_checksum_of_frame
+from repro.net.nic import _l4_checksum_of_frame
 from repro.net.headers import ETH_HEADER_LEN, IPV4_HEADER_LEN, IPv4Header
 from repro.sim.context import NULL_CONTEXT, ExecutionContext
 from repro.storage.skiplist import COLD_LEVELS, HOT_VISIT_NS, _XorShift
@@ -434,7 +434,7 @@ class PacketStore:
             self.verify_slot(slot, ctx)
         return b"".join(
             self.pool.region.read(self.pool.slot_region_base(buf_slot) + off, length)
-            for buf_slot, off, length in self._all_frags(record)
+            for buf_slot, off, length in self.slab.read_frags(record)
         )
 
     def get_refs(self, key, ctx=NULL_CONTEXT):
@@ -448,20 +448,11 @@ class PacketStore:
         record = self.slab.read_record(slot)
         if record.tombstone:
             return record, []
-        return record, self._all_frags(record)
+        return record, self.slab.read_frags(record)
 
     def buffer_handle(self, buf_slot):
         """A live handle for a payload buffer slot (zero-copy transmit)."""
         return self._buffers[buf_slot]
-
-    def _all_frags(self, record):
-        frags = list(record.frags)
-        cont = record.cont
-        while cont:
-            cont_record = self.slab.read_record(cont - 1)
-            frags.extend(cont_record.frags)
-            cont = cont_record.cont
-        return frags
 
     # -------------------------------------------------------------- integrity
 
@@ -476,7 +467,7 @@ class PacketStore:
         """
         record = self.slab.read_record(node_slot)
         checked = set()
-        for buf_slot, _off, _length in self._all_frags(record):
+        for buf_slot, _off, _length in self.slab.read_frags(record):
             if buf_slot in checked:
                 continue
             checked.add(buf_slot)
@@ -490,7 +481,7 @@ class PacketStore:
             )
             # Charge the CRC-equivalent cost only when actively verifying.
             ctx.charge(frame_len * 1.1, "integrity.verify")
-            if _tcp_checksum_of_frame(frame) != stored:
+            if _l4_checksum_of_frame(frame) != stored:
                 raise IOError(
                     f"frame in buffer slot {buf_slot} failed its wire checksum"
                 )
@@ -521,7 +512,7 @@ class PacketStore:
                     self.pool.region.read(
                         self.pool.slot_region_base(buf_slot) + off, length
                     )
-                    for buf_slot, off, length in self._all_frags(record)
+                    for buf_slot, off, length in self.slab.read_frags(record)
                 )
 
     def __len__(self):

@@ -272,6 +272,16 @@ class PMetaSlab:
         return PPktRecord.decode(self.region.read(self.slot_base(slot), RECORD_SIZE),
                                  check=check)
 
+    def read_frags(self, record):
+        """Every fragment of ``record``, following its ``cont`` chain."""
+        frags = list(record.frags)
+        cont = record.cont
+        while cont:
+            cont_record = self.read_record(cont - 1)
+            frags.extend(cont_record.frags)
+            cont = cont_record.cont
+        return frags
+
     def read_order(self, slot):
         """``(key, seq)`` of the record in ``slot``: its skip-list order.
 

@@ -115,11 +115,6 @@ def _l4_csum_field(frame):
     return (info[0], info[1]) if info is not None else None
 
 
-def _tcp_checksum_of_frame(frame):
-    """Backwards-compatible alias used by the storage layer."""
-    return _l4_checksum_of_frame(frame)
-
-
 class Nic:
     """One NIC port: offloads, DMA into an rx pool, fabric attachment."""
 
@@ -194,7 +189,7 @@ class Nic:
                 ttl=ip.ttl, ident=ip.ident,
             )
             frame = bytearray(eth + ip_hdr.pack() + bytes(tcp) + chunk)
-            csum = _tcp_checksum_of_frame(bytes(frame))
+            csum = _l4_checksum_of_frame(bytes(frame))
             struct.pack_into("!H", frame, ETH_HEADER_LEN + IPV4_HEADER_LEN + 16, csum)
             frames.append(bytes(frame))
             offset += len(chunk)

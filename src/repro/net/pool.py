@@ -15,6 +15,7 @@ on :class:`~repro.net.pktbuf.PktBuf`.
 """
 
 from repro.sim.context import NULL_CONTEXT
+from repro.sim.pressure import PressureSignal
 
 
 class PoolExhausted(MemoryError):
@@ -101,7 +102,7 @@ class PacketBuffer:
         return f"<PacketBuffer slot={self.slot} size={self.size} ref={self.refcount}>"
 
 
-class BufferPool:
+class BufferPool(PressureSignal):
     """Fixed-slot allocator over a region; LIFO free list for cache warmth.
 
     Occupancy watermarks make the pool a *pressure signal* for the
@@ -117,8 +118,7 @@ class BufferPool:
                  high_watermark=0.9, low_watermark=0.7):
         if slot_size <= 0:
             raise ValueError("slot size must be positive")
-        if not 0.0 < low_watermark <= high_watermark <= 1.0:
-            raise ValueError("need 0 < low_watermark <= high_watermark <= 1")
+        super().__init__(high_watermark, low_watermark)
         self.region = region
         self.slot_size = slot_size
         self.name = name or f"pool:{region.name}"
@@ -132,12 +132,7 @@ class BufferPool:
         self.allocs = 0
         self.frees = 0
         self.high_water = 0
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
-        self.under_pressure = False
-        self.pressure_events = 0
         self.exhaustions = 0
-        self._pressure_listeners = []
 
     @property
     def persistent(self):
@@ -156,26 +151,6 @@ class BufferPool:
         """Fraction of slots currently in use (0.0 — 1.0)."""
         return len(self._in_use) / self.nslots
 
-    def add_pressure_listener(self, callback):
-        """``callback(pool, under_pressure)`` fires on watermark crossings."""
-        self._pressure_listeners.append(callback)
-        return callback
-
-    def remove_pressure_listener(self, callback):
-        self._pressure_listeners.remove(callback)
-
-    def _update_pressure(self):
-        occ = self.occupancy
-        if not self.under_pressure and occ >= self.high_watermark:
-            self.under_pressure = True
-            self.pressure_events += 1
-            for listener in self._pressure_listeners:
-                listener(self, True)
-        elif self.under_pressure and occ < self.low_watermark:
-            self.under_pressure = False
-            for listener in self._pressure_listeners:
-                listener(self, False)
-
     def alloc(self):
         """Take a slot; returns a fresh :class:`PacketBuffer` with refcount 1."""
         if not self._free:
@@ -186,7 +161,7 @@ class BufferPool:
         self.allocs += 1
         if len(self._in_use) > self.high_water:
             self.high_water = len(self._in_use)
-        self._update_pressure()
+        self.observe(self.occupancy)
         return PacketBuffer(self, slot, slot * self.slot_size, self.slot_size)
 
     def _release(self, slot):
@@ -195,7 +170,7 @@ class BufferPool:
         self._in_use.remove(slot)
         self._free.append(slot)
         self.frees += 1
-        self._update_pressure()
+        self.observe(self.occupancy)
 
     def slot_region_base(self, slot):
         """Region-local base offset of a slot (used by recovery scans)."""
@@ -212,7 +187,7 @@ class BufferPool:
             raise RuntimeError(f"slot {slot} already materialised")
         self._free.remove(slot)
         self._in_use.add(slot)
-        self._update_pressure()
+        self.observe(self.occupancy)
         return PacketBuffer(self, slot, slot * self.slot_size, self.slot_size)
 
     def __repr__(self):

@@ -23,6 +23,7 @@ up to the persisted heap_end and frees anything not marked LIVE.
 import struct
 
 from repro.sim.context import NULL_CONTEXT
+from repro.sim.pressure import PressureSignal
 
 HEADER = struct.Struct("<IIII")
 HEADER_SIZE = HEADER.size
@@ -47,7 +48,7 @@ def _align(n):
     return (n + ALIGN - 1) // ALIGN * ALIGN
 
 
-class PMAllocator:
+class PMAllocator(PressureSignal):
     """First-fit free-list allocator with crash-recoverable metadata.
 
     Like the packet pools, the arena is a *pressure signal*: crossing
@@ -57,9 +58,6 @@ class PMAllocator:
     before an :class:`AllocationError` lands on a request's critical
     path.
     """
-
-    HIGH_WATERMARK = 0.9
-    LOW_WATERMARK = 0.7
 
     def __init__(self, region, alloc_ns=ALLOC_NS, free_ns=FREE_NS,
                  charge_category="pm.alloc", persist_category="persist"):
@@ -76,7 +74,8 @@ class PMAllocator:
         #: payloads) — kept incrementally so occupancy() is O(1).
         self._used_bytes = 0
         self._heap_end = HEAP_BASE
-        self._init_pressure()
+        self.allocation_failures = 0
+        super().__init__()
         self._write_heap_end(NULL_CONTEXT)
 
     @classmethod
@@ -97,18 +96,11 @@ class PMAllocator:
         alloc._live = {}
         alloc._used_bytes = 0
         alloc._heap_end = HEAP_BASE
-        alloc._init_pressure()
+        alloc.allocation_failures = 0
+        PressureSignal.__init__(alloc)
         return alloc
 
     # -- pressure signals ----------------------------------------------------
-
-    def _init_pressure(self):
-        self.high_watermark = self.HIGH_WATERMARK
-        self.low_watermark = self.LOW_WATERMARK
-        self.under_pressure = False
-        self.pressure_events = 0
-        self.allocation_failures = 0
-        self._pressure_listeners = []
 
     def occupancy(self):
         """Fraction of usable arena bytes currently allocated (0.0 — 1.0)."""
@@ -116,26 +108,6 @@ class PMAllocator:
         if usable <= 0:
             return 1.0
         return min(1.0, self.used_bytes() / usable)
-
-    def add_pressure_listener(self, callback):
-        """``callback(allocator, under_pressure)`` fires on watermark crossings."""
-        self._pressure_listeners.append(callback)
-        return callback
-
-    def remove_pressure_listener(self, callback):
-        self._pressure_listeners.remove(callback)
-
-    def _update_pressure(self):
-        occ = self.occupancy()
-        if not self.under_pressure and occ >= self.high_watermark:
-            self.under_pressure = True
-            self.pressure_events += 1
-            for listener in self._pressure_listeners:
-                listener(self, True)
-        elif self.under_pressure and occ < self.low_watermark:
-            self.under_pressure = False
-            for listener in self._pressure_listeners:
-                listener(self, False)
 
     # -- persistence helpers -------------------------------------------------
 
@@ -183,7 +155,7 @@ class PMAllocator:
         payload_off = block_off + HEADER_SIZE
         self._live[payload_off] = size
         self._used_bytes += need
-        self._update_pressure()
+        self.observe(self.occupancy())
         return payload_off
 
     def free(self, payload_off, ctx=NULL_CONTEXT):
@@ -196,7 +168,7 @@ class PMAllocator:
         block_off = payload_off - HEADER_SIZE
         self._write_header(block_off, size, FLAG_FREE, ctx)
         self._insert_hole(block_off, HEADER_SIZE + _align(size))
-        self._update_pressure()
+        self.observe(self.occupancy())
 
     def usable_size(self, payload_off):
         """Payload size of a live allocation."""
@@ -277,7 +249,7 @@ class PMAllocator:
                 self._insert_hole(cursor, block)
             cursor += block
         self._write_heap_end(NULL_CONTEXT)
-        self._update_pressure()
+        self.observe(self.occupancy())
         return sorted(self._live)
 
     def __repr__(self):

@@ -25,9 +25,10 @@ import struct
 
 from repro.net.checksum import crc32c
 from repro.sim.context import FilterContext, NULL_CONTEXT
+from repro.sim.pressure import PressureSignal
 
 
-class _MemtablePressure:
+class _MemtablePressure(PressureSignal):
     """Pressure adapter for an LSM store's *current* memtable arena.
 
     The memtable (and thus its PM allocator) is replaced on every
@@ -37,13 +38,9 @@ class _MemtablePressure:
     decision) and applies the usual watermark hysteresis.
     """
 
-    def __init__(self, store, high_watermark=0.9, low_watermark=0.7):
+    def __init__(self, store):
+        super().__init__()
         self.store = store
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
-        self.under_pressure = False
-        self.pressure_events = 0
-        self._pressure_listeners = []
 
     @property
     def occupancy(self):
@@ -52,24 +49,35 @@ class _MemtablePressure:
             return 0.0
         return memtable.allocator.occupancy()
 
-    def add_pressure_listener(self, callback):
-        self._pressure_listeners.append(callback)
-        return callback
-
-    def remove_pressure_listener(self, callback):
-        self._pressure_listeners.remove(callback)
-
     def update(self):
-        occ = self.occupancy
-        if not self.under_pressure and occ >= self.high_watermark:
-            self.under_pressure = True
-            self.pressure_events += 1
-            for listener in self._pressure_listeners:
-                listener(self, True)
-        elif self.under_pressure and occ < self.low_watermark:
-            self.under_pressure = False
-            for listener in self._pressure_listeners:
-                listener(self, False)
+        self.observe(self.occupancy)
+
+
+class _MemtableRelief:
+    """Overload wiring shared by the LSM engines: the current memtable
+    is their pressure source, and rotating it is their reclaimer."""
+
+    def _effective_ctx(self, ctx):
+        return ctx
+
+    @property
+    def pressure_sources(self):
+        if not hasattr(self, "_memtable_pressure"):
+            self._memtable_pressure = _MemtablePressure(self.store)
+        return (self._memtable_pressure,)
+
+    def reclaim(self, ctx=NULL_CONTEXT):
+        """Emergency flush: seal the memtable to a level-0 table.
+
+        Only possible with a block device to flush to; the
+        NoveLSM-as-measured configuration (PM memtables, no SSD) has
+        nowhere to move data and reports 507 honestly.
+        """
+        if self.store.blockdev is None or self.store.memtable is None \
+                or self.store.memtable.data_bytes == 0:
+            return 0
+        self.store.rotate(self._effective_ctx(ctx))
+        return 1
 
 
 class NullEngine:
@@ -132,7 +140,7 @@ class RawPMEngine:
         return None  # no index: the baseline cannot serve reads
 
 
-class LevelDBEngine:
+class LevelDBEngine(_MemtableRelief):
     """Disk-era LevelDB: DRAM memtable + WAL on a block device (§2.1).
 
     The design PM displaces: every put is durable only after its
@@ -173,22 +181,8 @@ class LevelDBEngine:
     def scan(self, start=None, end=None, ctx=NULL_CONTEXT):
         return self.store.scan(start, end, ctx)
 
-    @property
-    def pressure_sources(self):
-        if not hasattr(self, "_memtable_pressure"):
-            self._memtable_pressure = _MemtablePressure(self.store)
-        return (self._memtable_pressure,)
 
-    def reclaim(self, ctx=NULL_CONTEXT):
-        """Emergency flush: seal the memtable to a level-0 table."""
-        if self.store.blockdev is None or self.store.memtable is None \
-                or self.store.memtable.data_bytes == 0:
-            return 0
-        self.store.rotate(ctx)
-        return 1
-
-
-class NoveLSMEngine:
+class NoveLSMEngine(_MemtableRelief):
     """NoveLSM with the measurement hooks of the paper's §3.
 
     ``charge_checksum`` mirrors the paper ("we implement checksum
@@ -251,22 +245,6 @@ class NoveLSMEngine:
 
     def scan(self, start=None, end=None, ctx=NULL_CONTEXT):
         return self.store.scan(start, end, self._effective_ctx(ctx))
-
-    @property
-    def pressure_sources(self):
-        if not hasattr(self, "_memtable_pressure"):
-            self._memtable_pressure = _MemtablePressure(self.store)
-        return (self._memtable_pressure,)
-
-    def reclaim(self, ctx=NULL_CONTEXT):
-        """Emergency flush — only possible with a block device to flush
-        to; the NoveLSM-as-measured configuration (PM memtables, no
-        SSD) has nowhere to move data and reports 507 honestly."""
-        if self.store.blockdev is None or self.store.memtable is None \
-                or self.store.memtable.data_bytes == 0:
-            return 0
-        self.store.rotate(self._effective_ctx(ctx))
-        return 1
 
 
 class _DirectMessage:

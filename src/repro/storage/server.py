@@ -273,8 +273,6 @@ def serve(host, config=None, pm_ns=None, engine=None, recorder=None,
     overload = config.overload
     if overload is True:
         overload = OverloadController()
-    if overload is not None and overload.sim is None:
-        overload.sim = host.sim
 
     if config.transport == "homa":
         if cluster is not None:

@@ -2,7 +2,7 @@
 
 Covers the serving-path failure contract (docs/RESILIENCE.md): pressure
 watermarks on the pools and the PM arena, the overload controller's
-admission/reclaim/defer decisions, per-request error containment with
+admission/reclaim/degrade decisions, per-request error containment with
 the 400/503/507 status mapping, bounded send queues, the hardened
 parsers, the namespace's torn-directory rollback, and the chaos storm
 (positive and negative).
@@ -146,7 +146,7 @@ class _FakeSource:
 class TestOverloadController:
     def test_admit_sheds_under_pressure(self):
         source = _FakeSource()
-        ctl = OverloadController(reclaim_on_pressure=False)
+        ctl = OverloadController()
         ctl.watch(source)
         assert ctl.admit()
         source.set(True)
@@ -180,29 +180,6 @@ class TestOverloadController:
         assert not ctl.should_degrade_zero_copy()
         source.set(True)
         assert ctl.should_degrade_zero_copy()
-        ctl.degrade_zero_copy = False
-        assert not ctl.should_degrade_zero_copy()
-
-    def test_deferred_requests_replay_when_pressure_clears(self):
-        sim = Simulator()
-        source = _FakeSource()
-        ctl = OverloadController(sim=sim, max_deferred=4,
-                                 reclaim_on_pressure=False)
-        ctl.watch(source)
-        source.set(True)
-        replayed = []
-        assert ctl.try_defer(lambda: replayed.append("a"))
-        assert ctl.try_defer(lambda: replayed.append("b"))
-        assert not replayed
-        source.set(False)           # listener schedules the drain
-        sim.run_until_idle()
-        assert replayed == ["a", "b"]
-        assert ctl.stats["replayed"] == 2
-
-    def test_defer_queue_is_bounded(self):
-        ctl = OverloadController(max_deferred=1)
-        assert ctl.try_defer(lambda: None)
-        assert not ctl.try_defer(lambda: None)
 
 
 # -- scan body hardening ------------------------------------------------------
@@ -390,7 +367,7 @@ class TestErrorContainment:
 class TestAdmissionAndDegrade:
     def test_pressured_server_sheds_with_503(self):
         source = _FakeSource()
-        ctl = OverloadController(reclaim_on_pressure=False)
+        ctl = OverloadController()
         sim, server, client, engine, kv = make_world(
             kv_kwargs={"overload": ctl})
         ctl.watch(source)
@@ -405,7 +382,7 @@ class TestAdmissionAndDegrade:
 
     def test_zero_copy_get_degrades_to_copy_under_pressure(self):
         source = _FakeSource()
-        ctl = OverloadController(reclaim_on_pressure=False)
+        ctl = OverloadController()
         sim, server, client, engine, kv = make_world(
             kv_kwargs={"overload": ctl, "zero_copy_get": True})
         ctl.watch(source)

@@ -75,13 +75,11 @@ class TestServe:
     def test_overload_true_builds_controller(self):
         testbed = make_testbed(config=ServerConfig(overload=True))
         assert isinstance(testbed.overload, OverloadController)
-        assert testbed.overload.sim is testbed.sim
 
     def test_overload_instance_used_as_is(self):
         controller = OverloadController()
         testbed = make_testbed(config=ServerConfig(overload=controller))
         assert testbed.overload is controller
-        assert controller.sim is testbed.sim
 
     def test_reaper_config_arms_tcp_reaper(self):
         testbed = make_testbed(
