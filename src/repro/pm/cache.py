@@ -16,6 +16,13 @@ may or may not have drained.
   ordered), which is what makes torn updates reproducible in tests.
 - fenced      — durable.
 
+Bookkeeping is per span, not per line: one clwb over a span takes one
+snapshot of it, and every pending line points into that snapshot with
+the same ``(buf, base)`` entry form the shadow uses, so a fence moves
+entries into the shadow unchanged.  The covered lines are found and
+filed with set and dict operations over the span's line range, not a
+Python loop per line.
+
 The device keeps a single byte image, the CPU-visible one.  What the
 persistence domain holds is derived from it through the tracker's
 **delta shadow**: ``shadow`` maps a line index to that line's persisted
@@ -41,7 +48,10 @@ class FlushTracker:
         self.line_size = line_size
         #: Line indices stored to since their last write-back.
         self.dirty = set()
-        #: line index -> bytes snapshot taken when the line was written back.
+        #: line index -> ``(buf, base)`` for every written-back, unfenced
+        #: line: its write-back snapshot is
+        #: ``buf[line * line_size - base:][:line_size]``.  Lines written
+        #: back by one clwb share that write-back's snapshot.
         self.pending = {}
         #: line index -> ``(buf, base)`` for every line in ``dirty`` or
         #: ``pending`` (lines outside it are durable as-is): the line's
@@ -93,9 +103,12 @@ class FlushTracker:
         if not dirty.issuperset(lines):
             base = first * line_size
             entry = (data[base:(last + 1) * line_size], base)
-            for line in lines:
-                if line not in shadow:
-                    shadow[line] = entry
+            if shadow.keys().isdisjoint(lines):
+                shadow.update(dict.fromkeys(lines, entry))
+            else:
+                for line in lines:
+                    if line not in shadow:
+                        shadow[line] = entry
             dirty.update(lines)
         return last - first + 1
 
@@ -103,31 +116,37 @@ class FlushTracker:
         """clwb: snapshot the current bytes of each covered dirty line.
 
         Lines that are not dirty are skipped (clwb of a clean line is a
-        no-op for durability).  Returns the number of lines written back,
-        which the device uses to charge flush cost.
+        no-op for durability).  The span is sliced once, and every line
+        written back points into that one snapshot.  Returns the number
+        of lines written back, which the device uses to charge flush
+        cost.
         """
         self.flushes += 1
-        if not self.dirty or length <= 0:
-            return 0
-        written = 0
-        line_size = self.line_size
         dirty = self.dirty
-        pending = self.pending
+        if not dirty or length <= 0:
+            return 0
+        line_size = self.line_size
         first = offset // line_size
         last = (offset + length - 1) // line_size
-        span = last - first + 1
-        if len(dirty) < span:
+        if first == last:
+            if first not in dirty:
+                return 0
+            dirty.remove(first)
+            start = first * line_size
+            self.pending[first] = (data[start:start + line_size], start)
+            return 1
+        if len(dirty) <= last - first:
             # Sparse dirty set: walk it instead of the line range.
-            hits = [line for line in dirty if first <= line <= last]
+            hits = {line for line in dirty if first <= line <= last}
         else:
-            hits = [line for line in range(first, last + 1) if line in dirty]
-        mv = memoryview(data)
-        for line in hits:
-            start = line * line_size
-            pending[line] = bytes(mv[start:start + line_size])
-            dirty.discard(line)
-            written += 1
-        return written
+            hits = dirty.intersection(range(first, last + 1))
+        if not hits:
+            return 0
+        base = first * line_size
+        entry = (data[base:(last + 1) * line_size], base)
+        self.pending.update(dict.fromkeys(hits, entry))
+        dirty.difference_update(hits)
+        return len(hits)
 
     def fence(self):
         """sfence: every pending line becomes durable.
@@ -147,10 +166,9 @@ class FlushTracker:
                 # The shadow holds exactly the pending lines.
                 shadow.clear()
             else:
-                line_size = self.line_size
-                for line, snapshot in pending.items():
+                for line, entry in pending.items():
                     if line in dirty:
-                        shadow[line] = (snapshot, line * line_size)
+                        shadow[line] = entry
                     else:
                         del shadow[line]
             pending.clear()
@@ -193,7 +211,7 @@ class FlushTracker:
                 )
             for line in sorted(self.pending):
                 if rng.random() < pending_persist_prob:
-                    shadow[line] = (self.pending[line], line * line_size)
+                    shadow[line] = self.pending[line]
         for line, (buf, base) in shadow.items():
             start = line * line_size
             end = start + line_size

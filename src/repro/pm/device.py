@@ -178,7 +178,8 @@ class PMDevice(MemoryDevice):
 
     def flush(self, offset, length, ctx=NULL_CONTEXT, category="pm.flush"):
         """clwb the covered lines; charges per dirty line written back."""
-        self._check(offset, length)
+        if offset < 0 or length < 0 or offset + length > self.size:
+            self._check(offset, length)
         lines = self.tracker.writeback(offset, length, self.data)
         if self.observer is not None:
             self.observer.on_flush(self, offset, length, lines)
@@ -294,15 +295,20 @@ class Region:
         return self.device.write(self.base + offset, payload)
 
     def flush(self, offset, length, ctx=NULL_CONTEXT, category="pm.flush"):
-        self._check(offset, length)
+        if offset < 0 or length < 0 or offset + length > self.size:
+            self._check(offset, length)
         return self.device.flush(self.base + offset, length, ctx, category)
 
     def fence(self, ctx=NULL_CONTEXT, category="pm.flush"):
         return self.device.fence(ctx, category)
 
     def persist(self, offset, length, ctx=NULL_CONTEXT, category="pm.flush"):
-        lines = self.flush(offset, length, ctx, category)
-        self.fence(ctx, category)
+        """flush + fence in one call, bounds-checked once."""
+        if offset < 0 or length < 0 or offset + length > self.size:
+            self._check(offset, length)
+        device = self.device
+        lines = device.flush(self.base + offset, length, ctx, category)
+        device.fence(ctx, category)
         return lines
 
     def charge_access(self, ctx, count=1, category="mem.access"):

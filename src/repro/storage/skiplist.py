@@ -59,6 +59,11 @@ ROOT_SIZE = 64
 
 HEADER = struct.Struct("<HIBBQII")  # key_len, value_len, height, flags, seq, value_crc, node_crc
 HEADER_SIZE = HEADER.size  # 24
+#: The CRC-covered first 20 header bytes (everything but node_crc).
+HEADER20 = struct.Struct("<HIBBQI")
+#: ``TAIL[h]`` packs node_crc and ``h`` next pointers.
+TAIL = tuple(struct.Struct(f"<I{height}Q") for height in range(MAX_HEIGHT + 1))
+NEXT = struct.Struct("<Q")
 
 #: Cost of touching a cache-resident (upper-level) node.
 HOT_VISIT_NS = 25.0
@@ -108,6 +113,11 @@ class RegionSkipList:
         self.cold_levels = cold_levels
         self._seq = seq
         self._rng = rng
+        #: Volatile node offset -> order key ``(key, MAX_SEQ - seq)`` of
+        #: every linked node.  A linked node's header and key never
+        #: change (only its ``next`` slots do), so an entry cannot go
+        #: stale; :meth:`recover` rebuilds the map from the image.
+        self._orders = {}
         self.count = 0          # live versions (excluding head)
         self.data_bytes = 0     # key+value payload bytes
 
@@ -137,7 +147,7 @@ class RegionSkipList:
 
     @classmethod
     def recover(cls, region, seed=1, insert_category="datamgmt.insert",
-                persist_category="persist"):
+                persist_category="persist", branching=4, cold_levels=COLD_LEVELS):
         """Rebuild after a crash from the region's persisted contents."""
         allocator = PMAllocator.attach(
             region.subregion(ROOT_SIZE, region.size - ROOT_SIZE, f"{region.name}.heap"),
@@ -149,7 +159,9 @@ class RegionSkipList:
         if magic != ROOT_MAGIC:
             raise SkipListCorruption("no skip list root in region")
         slist = cls(region, allocator, head_off, 1, _XorShift(seed),
-                    insert_category, persist_category)
+                    insert_category, persist_category,
+                    branching=branching, cold_levels=cold_levels)
+        orders = slist._orders
         reachable = {head_off}
         max_seq = 0
         prev = head_off
@@ -160,8 +172,8 @@ class RegionSkipList:
                 # run; tolerate it by truncating the chain defensively.
                 slist._set_next(prev, 0, 0, NULL_CONTEXT, fence=True)
                 break
-            header = slist._header(cursor)
-            key_len, value_len, _h, _flags, seq, _vcrc, _ncrc = header
+            key_len, value_len, height, _flags, seq, _vcrc, _ncrc = slist._header(cursor)
+            orders[cursor] = (slist._node_key(cursor, key_len, height), MAX_SEQ - seq)
             max_seq = max(max_seq, seq)
             slist.count += 1
             slist.data_bytes += key_len + value_len
@@ -192,7 +204,7 @@ class RegionSkipList:
 
     def _set_next(self, node_off, level, target, ctx, fence=False):
         addr = node_off + HEADER_SIZE + 8 * level
-        self.region.write(addr, struct.pack("<Q", target))
+        self.region.write(addr, NEXT.pack(target))
         self.region.flush(addr, 8, ctx, self.persist_category)
         if fence:
             self.region.fence(ctx, self.persist_category)
@@ -201,7 +213,7 @@ class RegionSkipList:
         return HEADER_SIZE + 8 * height + key_len + value_len
 
     def _node_crc(self, header_bytes20, key):
-        return crc32c(key, seed=crc32c(header_bytes20))
+        return crc32c(header_bytes20 + key)
 
     def _alloc_node(self, size, ctx):
         """Allocate node space; returns a region-coordinate offset.
@@ -213,20 +225,15 @@ class RegionSkipList:
         """
         return self.allocator.alloc(size, ctx) + ROOT_SIZE
 
-    def _free_node(self, node_off, ctx=NULL_CONTEXT):
-        self.allocator.free(node_off - ROOT_SIZE, ctx)
-
     def _write_node(self, key, value, height, flags, seq, nexts, ctx):
         size = self._node_size(len(key), len(value), height)
         node_off = self._alloc_node(size, ctx)
-        header20 = struct.pack(
-            "<HIBBQI", len(key), len(value), height, flags, seq, crc32c(value)
+        header20 = HEADER20.pack(
+            len(key), len(value), height, flags, seq, crc32c(value)
         )
-        node_crc = self._node_crc(header20, key)
         blob = (
             header20
-            + struct.pack("<I", node_crc)
-            + b"".join(struct.pack("<Q", nxt) for nxt in nexts)
+            + TAIL[height].pack(self._node_crc(header20, key), *nexts)
             + key
             + value
         )
@@ -257,12 +264,13 @@ class RegionSkipList:
     def _find_predecessors(self, order_key, ctx):
         """Per-level last nodes strictly before ``order_key``.
 
-        The walk dominates every insert, so it reads only what it
-        compares, straight from the device image: per visited node one
-        header unpack, one key slice and, when it steps past the node,
-        one next pointer.  Each read is bounds-checked against the
-        region first, raising from ``Region._check`` like the
-        :class:`~repro.pm.device.Region` accessors.
+        The walk dominates every insert.  Every link it follows is read
+        from the device image, bounds-checked against the region first
+        (raising from ``Region._check`` like the
+        :class:`~repro.pm.device.Region` accessors).  The target's order
+        key comes from the volatile ``_orders`` map; on a miss the node
+        is decoded from the image, one header unpack and one key slice,
+        each bounds-checked the same way, so a bad pointer still raises.
 
         Cache model: level 0 is always cold (every node there is unique
         memory); on the next ``cold_levels - 1`` levels only nodes the
@@ -275,36 +283,41 @@ class RegionSkipList:
         base = region.base
         size = region.size
         unpack = HEADER.unpack_from
-        from_bytes = int.from_bytes
+        read_next = NEXT.unpack_from
         category = self.insert_category
         cold_levels = self.cold_levels
         cold_ns = region.device.access_ns
         charge = ctx.charge
+        orders = self._orders
         node = self.head_off
         preds = [node] * MAX_HEIGHT
         for level in range(MAX_HEIGHT - 1, -1, -1):
+            slot = HEADER_SIZE + 8 * level
+            past_ns = cold_ns if level < cold_levels else HOT_VISIT_NS
+            stop_ns = cold_ns if level == 0 else HOT_VISIT_NS
             while True:
-                link = node + HEADER_SIZE + 8 * level
+                link = node + slot
                 if link + 8 > size:
                     region._check(link, 8)
-                nxt = from_bytes(data[base + link:base + link + 8], "little")
+                nxt = read_next(data, base + link)[0]
                 if not nxt:
                     break
-                if nxt + HEADER_SIZE > size:
-                    region._check(nxt, HEADER_SIZE)
-                key_len, _vl, height, _fl, seq, _vc, _nc = unpack(data, base + nxt)
-                key_at = nxt + HEADER_SIZE + 8 * height
-                if key_at + key_len > size:
-                    region._check(key_at, key_len)
-                key_at += base
-                advanced = (data[key_at:key_at + key_len], MAX_SEQ - seq) < order_key
-                if level == 0 or (level < cold_levels and advanced):
-                    charge(cold_ns, category)
+                order = orders.get(nxt)
+                if order is None:
+                    if nxt + HEADER_SIZE > size:
+                        region._check(nxt, HEADER_SIZE)
+                    key_len, _vl, height, _fl, seq, _vc, _nc = unpack(data, base + nxt)
+                    key_at = nxt + HEADER_SIZE + 8 * height
+                    if key_at + key_len > size:
+                        region._check(key_at, key_len)
+                    key_at += base
+                    order = (data[key_at:key_at + key_len], MAX_SEQ - seq)
+                if order < order_key:
+                    charge(past_ns, category)
+                    node = nxt
                 else:
-                    charge(HOT_VISIT_NS, category)
-                if not advanced:
+                    charge(stop_ns, category)
                     break
-                node = nxt
             preds[level] = node
         return preds
 
@@ -330,6 +343,7 @@ class RegionSkipList:
         node_off = self._write_node(key, value, height, flags, seq, nexts, ctx)
         # Level 0 makes the node visible; fence before touching hints.
         self._set_next(preds[0], 0, node_off, ctx, fence=True)
+        self._orders[node_off] = order_key
         for level in range(1, height):
             self._set_next(preds[level], level, node_off, ctx, fence=False)
         if height > 1:

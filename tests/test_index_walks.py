@@ -1,9 +1,11 @@
 """The two skip-list walks against record-decoding reference walks.
 
 ``RegionSkipList._find_predecessors`` and
-``PacketStore._find_predecessors`` read only the bytes they compare.
-The reference walks below decode each visited node the long way (the
-``Region`` accessors, ``PMetaSlab.read_record``) and charge through
+``PacketStore._find_predecessors`` read only the bytes they compare;
+the skip list takes each node's order key from its volatile ``_orders``
+map, which ``insert`` and ``recover`` fill.  The reference walks below
+decode each visited node the long way (the ``Region`` accessors,
+``PMetaSlab.read_record``) and charge through
 ``Region.charge_access``.  Both must return the same predecessors and
 charge the same amounts, in the same categories and order, and reject
 a bad pointer or record with the same exception.
@@ -89,7 +91,9 @@ def _probes(keys, max_seq, rng):
 # ----------------------------------------------------------------- skip list
 
 
-def seeded_skiplist(seed, branching=4, cold_levels=COLD_LEVELS):
+def seeded_skiplist(seed, branching=4, cold_levels=COLD_LEVELS, recovered=False):
+    """A list of 300 random inserts and tombstones; with ``recovered``,
+    the list :meth:`RegionSkipList.recover` rebuilds after a crash."""
     size = 1 << 20
     dev = PMDevice(size)
     slist = RegionSkipList.create(dev.region(0, size, "mt"), seed=seed,
@@ -99,12 +103,22 @@ def seeded_skiplist(seed, branching=4, cold_levels=COLD_LEVELS):
     for key in keys:
         slist.insert(key, rng.randbytes(rng.randrange(0, 64)),
                      tombstone=rng.random() < 0.05)
+    if recovered:
+        dev.crash()
+        slist = RegionSkipList.recover(dev.region(0, size, "mt"), seed=seed,
+                                       branching=branching, cold_levels=cold_levels)
     return slist, sorted(set(keys))
 
 
-@pytest.mark.parametrize("seed,branching,cold_levels", [(1, 4, 2), (7, 2, 3)])
-def test_skiplist_walk_matches_reference(seed, branching, cold_levels):
-    slist, keys = seeded_skiplist(seed, branching, cold_levels)
+@pytest.mark.parametrize("seed,branching,cold_levels,recovered", [
+    pytest.param(1, 4, 2, False, id="1-4-2"),
+    pytest.param(7, 2, 3, False, id="7-2-3"),
+    pytest.param(1, 4, 2, True, id="1-4-2-recovered"),
+    pytest.param(7, 2, 3, True, id="7-2-3-recovered"),
+])
+def test_skiplist_walk_matches_reference(seed, branching, cold_levels, recovered):
+    slist, keys = seeded_skiplist(seed, branching, cold_levels, recovered)
+    assert (slist.branching, slist.cold_levels) == (branching, cold_levels)
     rng = random.Random(seed + 100)
     for probe in _probes(keys, MAX_SEQ, rng):
         ours, ref = walk_both(
@@ -114,6 +128,21 @@ def test_skiplist_walk_matches_reference(seed, branching, cold_levels):
         )
         assert ours == ref, probe
         assert ours[1], "a walk over a populated list visits nodes"
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_skiplist_order_map_matches_level0_after_recover(seed):
+    slist, _keys = seeded_skiplist(seed, recovered=True)
+    level0 = []
+    node = slist._next_of(slist.head_off, 0)
+    while node:
+        level0.append(node)
+        node = slist._next_of(node, 0)
+    assert level0 and sorted(slist._orders) == sorted(level0)
+    for node in level0:
+        key_len, _vl, height, _fl, seq, _vc, _nc = slist._header(node)
+        key = slist._node_key(node, key_len, height)
+        assert slist._orders[node] == slist._order(key, seq)
 
 
 def test_skiplist_pointer_past_region_end_raises_index_error():

@@ -10,7 +10,7 @@ every byte, every dirty/pending line and every durability verdict.
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.testing import RecordingBlockDevice, RecordingPMDevice, make_cursor
 
@@ -47,6 +47,12 @@ def _catch_up(cursor, trace):
         cursor.apply(event)
 
 
+def _snapshots(pending):
+    """Per-line write-back snapshot bytes of a tracker's pending entries."""
+    return {line: bytes(buf[line * LINE - base:][:LINE])
+            for line, (buf, base) in pending.items()}
+
+
 def _reference_crash(cursor, seed, prob):
     """Full-image crash: drain pending lines in sorted order by ``seed``."""
     rng = random.Random(seed)
@@ -59,9 +65,20 @@ def _reference_crash(cursor, seed, prob):
 
 
 @settings(max_examples=150, deadline=None)
-@given(ops=pm_ops, payload_seed=st.integers(0, 2**31), data=st.data())
-def test_pm_device_matches_full_image_reference(ops, payload_seed, data):
+@given(ops=pm_ops, payload_seed=st.integers(0, 2**31),
+       probe_seed=st.integers(0, 2**31))
+# Write-backs over three lines whose middle line is clean: the span
+# shares one snapshot, only the dirty lines go pending, and a fence and
+# a draining crash move the shared entries on.
+@example(ops=[("write", (0, 200)), ("flush", (0, 200)), ("fence", None),
+              ("write", (10, 4)), ("write", (150, 4)), ("flush", (0, 192)),
+              ("write", (12, 1)), ("fence", None),
+              ("write", (140, 4)), ("flush", (0, 192)),
+              ("crash", (3, 1.0))],
+         payload_seed=1, probe_seed=2)
+def test_pm_device_matches_full_image_reference(ops, payload_seed, probe_seed):
     rng = random.Random(payload_seed)
+    probe_rng = random.Random(probe_seed)
     device = RecordingPMDevice(SIZE)
     cursor = make_cursor(device.trace)
     tracker = device.tracker
@@ -91,10 +108,10 @@ def test_pm_device_matches_full_image_reference(ops, payload_seed, data):
         assert device.persisted_view(0, SIZE) == bytes(cursor.persisted)
         assert bytes(device.data) == bytes(cursor.data)
         assert tracker.dirty == cursor.dirty
-        assert tracker.pending == cursor.pending
+        assert _snapshots(tracker.pending) == cursor.pending
         assert set(tracker.shadow) == tracker.dirty | set(tracker.pending)
         for _ in range(2):
-            offset, length = _clip(data.draw(_range))
+            offset, length = _clip((probe_rng.randrange(SIZE), probe_rng.randrange(201)))
             expected = (cursor.data[offset:offset + length]
                         == cursor.persisted[offset:offset + length])
             assert device.is_durable(offset, length) == expected
