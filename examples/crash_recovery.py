@@ -100,8 +100,7 @@ def main():
     sample = sorted(client.acked)[0]
     print(f"\nSpot check: {sample.decode()} -> {len(store.get(sample))} bytes, "
           f"wire checksum re-verifies: ", end="")
-    slot = store._first_version_slot(sample, NULL_CONTEXT)
-    store.verify_slot(slot)
+    store.verify_slot(store._first_version(sample, NULL_CONTEXT) - 1)
     print("yes")
 
 

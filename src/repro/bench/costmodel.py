@@ -92,31 +92,14 @@ class CostModel:
         self._rebuild_charge_table()
 
     def _rebuild_charge_table(self):
-        """Precompute the flat (category, op) -> ns charge table.
+        """Precompute one ``(ns, category)`` tuple per fixed-cost charge.
 
         Fixed-cost charges are the bulk of the per-packet accounting
         (several per simulated frame), so the hot ``charge_*`` methods
-        read one precomputed ``(ns, category)`` tuple instead of
-        recombining attribute + category string on every call.  Byte-
-        proportional charges keep their slope/intercept attributes.
+        read one precomputed tuple instead of recombining attribute +
+        category string on every call.  Byte-proportional charges keep
+        their slope/intercept attributes.
         """
-        fixed = {
-            ("net.driver", "driver_rx"): self.driver_rx,
-            ("net.driver", "driver_tx"): self.driver_tx,
-            ("net.ip", "ip_rx"): self.ip_rx,
-            ("net.ip", "ip_tx"): self.ip_tx,
-            ("net.tcp", "tcp_rx"): self.tcp_rx,
-            ("net.tcp", "tcp_tx"): self.tcp_tx,
-            ("net.tcp", "ooo_insert"): self.ooo_insert,
-            ("net.sock", "sock_deliver"): self.sock_deliver,
-            ("net.sock", "sock_send"): self.sock_send,
-            ("net.alloc", "pktbuf_alloc"): self.pktbuf_alloc,
-            ("net.http", "http_build"): self.http_build,
-            ("app", "app_fixed"): self.app_fixed,
-            ("datamgmt.prep", "request_prep"): self.request_prep,
-        }
-        self._charge_table = fixed
-        # Hot-path tuples, one per fixed-cost charge method.
         self._t_driver_rx = (self.driver_rx, "net.driver")
         self._t_driver_tx = (self.driver_tx, "net.driver")
         self._t_ip_rx = (self.ip_rx, "net.ip")
@@ -130,11 +113,6 @@ class CostModel:
         self._t_http_build = (self.http_build, "net.http")
         self._t_app = (self.app_fixed, "app")
         self._t_request_prep = (self.request_prep, "datamgmt.prep")
-
-    @property
-    def charge_table(self):
-        """The precomputed flat ``(category, op) -> ns`` table (read-only)."""
-        return dict(self._charge_table)
 
     # ------------------------------------------------------------- profiles
 

@@ -61,7 +61,19 @@ def _perf_counter():
 
 
 def _peak_rss_kb():
-    """Process high-water RSS in KiB (0 where resource is unavailable)."""
+    """Process high-water RSS in KiB (0 where resource is unavailable).
+
+    Linux's ``VmHWM`` first: it belongs to this process image.
+    ``ru_maxrss`` also carries the parent's RSS at fork, so a benchmark
+    started from a large process (a test session) would report that.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
     try:
         import resource
     except ImportError:  # non-POSIX

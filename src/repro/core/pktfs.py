@@ -100,22 +100,7 @@ class PktFS:
                 report.discarded_records += 1
                 break
             reachable.add(slot)
-            refs = []
-            current = record
-            while True:
-                for buf_slot, _off, _len in current.frags:
-                    if buf_slot in materialized:
-                        refs.append(materialized[buf_slot].get())
-                    else:
-                        buf = pool.buffer_at_slot(buf_slot)
-                        materialized[buf_slot] = buf
-                        refs.append(buf)
-                if not current.cont:
-                    break
-                cont_slot = current.cont - 1
-                reachable.add(cont_slot)
-                current = slab.read_record(cont_slot)
-            fs._refs[slot] = refs
+            fs._refs[slot] = slab.adopt_frags(record, pool, materialized, reachable)
             report.recovered += 1
             prev = slot
             cursor = slab.read_next(slot, 0)

@@ -35,6 +35,7 @@ vanish atomically.
 """
 
 import struct
+from operator import attrgetter
 
 from repro.core.ppktbuf import (
     FLAG_TOMBSTONE,
@@ -44,6 +45,8 @@ from repro.core.ppktbuf import (
     KIND_HEAD,
     KIND_NODE,
     MAX_HEIGHT,
+    NEXT_OFF,
+    RECORD_SIZE,
     PMetaSlab,
     PPktRecord,
     SlabExhausted,
@@ -52,25 +55,36 @@ from repro.core.recovery import RecoveryReport
 from repro.net.nic import _l4_checksum_of_frame
 from repro.net.headers import ETH_HEADER_LEN, IPV4_HEADER_LEN, IPv4Header
 from repro.sim.context import NULL_CONTEXT, ExecutionContext
-from repro.storage.skiplist import COLD_LEVELS, HOT_VISIT_NS, _XorShift
-
-MAX_SEQ = 1 << 62
+from repro.storage.skiplist import (
+    MAX_SEQ,
+    PersistentSkipList,
+    _XorShift,
+    newest_versions,
+)
 
 #: Request preparation in the packet-native path: take references and
 #: fill a 4-line record — no request object, no marshalling.
 PREP_NS = 150.0
 
 
-class PacketStore:
-    """Skip list of persistent packet metadata over a PM packet pool."""
+class PacketStore(PersistentSkipList):
+    """Skip list of persistent packet metadata over a PM packet pool.
+
+    A link is a record's slot + 1.  Slots are freed by ``gc`` and
+    reused, so the walk decodes every record it visits (``_orders``
+    stays empty): a freed slot a stale link still names fails its
+    magic check instead of passing for its old key.
+    """
+
+    LINK_STRIDE = RECORD_SIZE
+    LINK_BASE = PMetaSlab.ROOT_SIZE - RECORD_SIZE + NEXT_OFF
+    max_height = MAX_HEIGHT
 
     def __init__(self, slab, pool, head_slot, seq, rng, verify_on_read=False):
+        super().__init__(slab.region, head_slot + 1, seq, rng)
         self.slab = slab
         self.pool = pool
-        self.head_slot = head_slot
         self.verify_on_read = verify_on_read
-        self._seq = seq
-        self._rng = rng
         #: record slot -> list of PacketBuffer references we hold.
         self._refs = {}
         #: buffer slot -> a live PacketBuffer handle (for zero-copy tx).
@@ -81,21 +95,22 @@ class PacketStore:
         #: commit; ``recover`` rebuilds them in its level-0 walk.
         self._superseded = {}
         self._tombstones = {}
-        self.count = 0
         self.stats = {"puts": 0, "gets": 0, "deletes": 0, "frag_chains": 0}
 
     # ------------------------------------------------------------ construction
 
+    @property
+    def head_slot(self):
+        return self.head - 1
+
     @classmethod
     def create(cls, region, pool, seed=1, verify_on_read=False):
         slab = PMetaSlab(region)
-        store = cls(slab, pool, 0, 1, _XorShift(seed), verify_on_read)
         head_slot = slab.alloc()
         head = PPktRecord(kind=KIND_HEAD, height=MAX_HEIGHT)
         slab.write_record(head_slot, head, NULL_CONTEXT)
         slab.write_root(head_slot)
-        store.head_slot = head_slot
-        return store
+        return cls(slab, pool, head_slot, 1, _XorShift(seed), verify_on_read)
 
     @classmethod
     def recover(cls, region, pool, seed=1, verify_on_read=False, ctx=NULL_CONTEXT):
@@ -110,9 +125,8 @@ class PacketStore:
         max_seq = 0
         last_key = None
         prev = head_slot
-        cursor = slab.read_next(head_slot, 0)
-        while cursor:
-            slot = cursor - 1
+        for link in store._chain(0):
+            slot = link - 1
             slab.region.charge_access(scan_ctx, 1, "recovery.scan")
             record = slab.valid_record(slot)
             if record is None or record.kind != KIND_NODE:
@@ -124,8 +138,7 @@ class PacketStore:
                     report.crc_failures += 1
                 break
             reachable.add(slot)
-            refs = store._adopt_frags(slot, record, slab, materialized, reachable, report)
-            store._refs[slot] = refs
+            store._refs[slot] = slab.adopt_frags(record, pool, materialized, reachable)
             store._buffers.update(materialized)
             # Level 0 is in order-key order: a key's first node is its
             # newest version, every later one is superseded.
@@ -140,7 +153,6 @@ class PacketStore:
             store.count += 1
             report.recovered += 1
             prev = slot
-            cursor = slab.read_next(slot, 0)
         # Orphans: slots carrying a valid-looking record that nothing
         # reaches — allocations in flight at the crash.  They simply
         # return to the free list (their magic is left behind, but the
@@ -172,66 +184,17 @@ class PacketStore:
         ctx.merge(scan_ctx)
         return store, report
 
-    def _adopt_frags(self, slot, record, slab, materialized, reachable, report):
-        """Re-take buffer references for a record and its continuations."""
-        refs = []
-        current = record
-        while True:
-            for buf_slot, _off, _length in current.frags:
-                if buf_slot in materialized:
-                    refs.append(materialized[buf_slot].get())
-                else:
-                    buf = self.pool.buffer_at_slot(buf_slot)
-                    materialized[buf_slot] = buf
-                    refs.append(buf)
-            if not current.cont:
-                break
-            cont_slot = current.cont - 1
-            reachable.add(cont_slot)
-            current = slab.read_record(cont_slot)
-        return refs
-
     # ------------------------------------------------------------- traversal
 
-    @staticmethod
-    def _order(key, seq):
-        return (key, MAX_SEQ - seq)
+    def _order_at(self, link):
+        """Order key of the record ``link`` names, read by
+        :meth:`PMetaSlab.read_order`, which rejects a bad slot or
+        record by raising."""
+        key, seq = self.slab.read_order(link - 1)
+        return key, MAX_SEQ - seq
 
-    def _find_predecessors(self, order_key, ctx):
-        """Per-level last slots strictly before ``order_key``.
-
-        Reads only each visited record's ``(key, seq)``.  Same cache
-        model as the storage skip list: level 0 cold, higher cold
-        levels cold only when stepping past a node, the rest hot.
-        """
-        slab = self.slab
-        read_order = slab.read_order
-        read_next = slab.read_next
-        cold_ns = slab.region.device.access_ns
-        charge = ctx.charge
-        slot = self.head_slot
-        preds = [slot] * MAX_HEIGHT
-        for level in range(MAX_HEIGHT - 1, -1, -1):
-            nxt = read_next(slot, level)
-            while nxt:
-                key, seq = read_order(nxt - 1)
-                advanced = (key, MAX_SEQ - seq) < order_key
-                if level == 0 or (level < COLD_LEVELS and advanced):
-                    charge(cold_ns, "datamgmt.insert")
-                else:
-                    charge(HOT_VISIT_NS, "datamgmt.insert")
-                if not advanced:
-                    break
-                slot = nxt - 1
-                nxt = read_next(slot, level)
-            preds[level] = slot
-        return preds
-
-    def _random_height(self):
-        height = 1
-        while height < MAX_HEIGHT and self._rng.next() & 3 == 0:
-            height += 1
-        return height
+    def _set_next(self, link, level, target, ctx, fence):
+        self.slab.write_next(link - 1, level, target, ctx, fence=fence)
 
     # ---------------------------------------------------------------- mutation
 
@@ -309,7 +272,7 @@ class PacketStore:
                 value_len=value_len,
                 cont=cont_slot_plus1,
                 frags=frag_tuples[:INLINE_FRAGS],
-                nexts=[self.slab.read_next(preds[i], i) if i < height else 0
+                nexts=[self._next_of(preds[i], i) if i < height else 0
                        for i in range(MAX_HEIGHT)],
             )
             self.slab.write_record(node_slot, record, ctx)
@@ -330,20 +293,16 @@ class PacketStore:
             self._buffers[buf.slot] = buf
 
         # 5. Commit: level-0 link with a fence, then the hint levels.
-        self.slab.write_next(preds[0], 0, node_slot + 1, ctx, fence=True)
-        for level in range(1, height):
-            self.slab.write_next(preds[level], level, node_slot + 1, ctx, fence=False)
-        if height > 1:
-            self.slab.region.fence(ctx, "persist")
+        self._link(preds, node_slot + 1, height, ctx)
         self.count += 1
 
         # 6. Mark gc's victims.  The new version has the largest seq, so
         # it links directly before its key's previous newest version.
         nxt = record.nexts[0]
         if nxt:
-            old_key, old_seq = self.slab.read_order(nxt - 1)
-            if old_key == key:
-                self._superseded[nxt - 1] = self._order(key, old_seq)
+            old_order = self._order_at(nxt)
+            if old_order[0] == key:
+                self._superseded[nxt - 1] = old_order
                 self._tombstones.pop(nxt - 1, None)
         if tombstone:
             self._tombstones[node_slot] = order
@@ -365,14 +324,12 @@ class PacketStore:
         unreachable records that recovery reclaims.
         """
         preds = self._find_predecessors(self._order(record.key, record.seq), ctx)
+        node = node_slot + 1
         # Relink top-down so searches racing a crash stay correct.
         for level in range(record.height - 1, -1, -1):
-            if self.slab.read_next(preds[level], level) == node_slot + 1:
-                self.slab.write_next(
-                    preds[level], level,
-                    self.slab.read_next(node_slot, level),
-                    ctx, fence=(level == 0),
-                )
+            if self._next_of(preds[level], level) == node:
+                self._set_next(preds[level], level, self._next_of(node, level),
+                               ctx, fence=(level == 0))
         # Free the continuation chain, then the node.
         cont = record.cont
         while cont:
@@ -414,24 +371,17 @@ class PacketStore:
 
     # ------------------------------------------------------------------- reads
 
-    def _first_version_slot(self, key, ctx):
-        preds = self._find_predecessors(self._order(key, MAX_SEQ), ctx)
-        nxt = self.slab.read_next(preds[0], 0)
-        if not nxt or self.slab.read_order(nxt - 1)[0] != key:
-            return None
-        return nxt - 1
-
     def get(self, key, ctx=NULL_CONTEXT):
         """Latest value bytes, or None (missing or tombstoned)."""
         self.stats["gets"] += 1
-        slot = self._first_version_slot(key, ctx)
-        if slot is None:
+        node = self._first_version(key, ctx)
+        if not node:
             return None
-        record = self.slab.read_record(slot)
+        record = self.slab.read_record(node - 1)
         if record.tombstone:
             return None
         if self.verify_on_read:
-            self.verify_slot(slot, ctx)
+            self.verify_slot(node - 1, ctx)
         return b"".join(
             self.pool.region.read(self.pool.slot_region_base(buf_slot) + off, length)
             for buf_slot, off, length in self.slab.read_frags(record)
@@ -442,10 +392,10 @@ class PacketStore:
 
         For transmitting straight out of the store (psend path).
         """
-        slot = self._first_version_slot(key, ctx)
-        if slot is None:
+        node = self._first_version(key, ctx)
+        if not node:
             return None, []
-        record = self.slab.read_record(slot)
+        record = self.slab.read_record(node - 1)
         if record.tombstone:
             return record, []
         return record, self.slab.read_frags(record)
@@ -490,23 +440,12 @@ class PacketStore:
     # ------------------------------------------------------------------- scans
 
     def versions(self):
-        cursor = self.slab.read_next(self.head_slot, 0)
-        while cursor:
-            record = self.slab.read_record(cursor - 1)
-            yield record
-            cursor = self.slab.read_next(cursor - 1, 0)
+        for link in self._chain(0):
+            yield self.slab.read_record(link - 1)
 
     def scan(self, start=None, end=None):
         """Latest live (key, value) pairs in key order."""
-        last_key = None
-        for record in self.versions():
-            if record.key == last_key:
-                continue
-            last_key = record.key
-            if start is not None and record.key < start:
-                continue
-            if end is not None and record.key >= end:
-                break
+        for record in newest_versions(self.versions(), start, end, attrgetter("key")):
             if not record.tombstone:
                 yield record.key, b"".join(
                     self.pool.region.read(
@@ -514,9 +453,6 @@ class PacketStore:
                     )
                     for buf_slot, off, length in self.slab.read_frags(record)
                 )
-
-    def __len__(self):
-        return sum(1 for _ in self.scan())
 
     def __repr__(self):
         return f"<PacketStore {self.count} versions, slab={self.slab!r}>"

@@ -69,7 +69,7 @@ _FIXED = struct.Struct("<BBBBHHQQIIQ")  # bytes [8:48)
 #: seq: bytes [0:24), what a skip-list walk needs of a record.
 _ORDER = struct.Struct("<IIBBBBHHQ")
 _FRAG = struct.Struct("<IHH")
-_NEXT_OFF = 80
+NEXT_OFF = 80
 _KEY_OFF = 144
 _FRAG_OFF = 48
 
@@ -153,7 +153,7 @@ class PPktRecord:
         blob[8:48] = self._fixed_bytes()
         blob[_FRAG_OFF:_FRAG_OFF + 32] = self._frag_bytes()
         for index, nxt in enumerate(self.nexts):
-            struct.pack_into("<Q", blob, _NEXT_OFF + 8 * index, nxt)
+            struct.pack_into("<Q", blob, NEXT_OFF + 8 * index, nxt)
         blob[_KEY_OFF:_KEY_OFF + len(self.key)] = self.key
         return bytes(blob)
 
@@ -167,7 +167,7 @@ class PPktRecord:
         frags = []
         for index in range(nfrags):
             frags.append(_FRAG.unpack_from(blob, _FRAG_OFF + _FRAG.size * index))
-        nexts = [struct.unpack_from("<Q", blob, _NEXT_OFF + 8 * i)[0]
+        nexts = [struct.unpack_from("<Q", blob, NEXT_OFF + 8 * i)[0]
                  for i in range(MAX_HEIGHT)]
         key = bytes(blob[_KEY_OFF:_KEY_OFF + key_len])
         record = cls(kind, flags, height, key, seq, hw_tstamp, wire_csum,
@@ -206,9 +206,8 @@ class PMetaSlab:
     _ROOT = struct.Struct("<IQQ")
     _ROOT_MAGIC = 0x51AB0075
 
-    def __init__(self, region, charge_category="datamgmt.insert"):
+    def __init__(self, region):
         self.region = region
-        self.charge_category = charge_category
         self.nslots = (region.size - self.ROOT_SIZE) // RECORD_SIZE
         if self.nslots < 2:
             raise ValueError("metadata region too small")
@@ -239,7 +238,7 @@ class PMetaSlab:
     def alloc(self, ctx=NULL_CONTEXT):
         if not self._free:
             raise SlabExhausted(f"{self.region.name}: all {self.nslots} records used")
-        ctx.charge(SLAB_ALLOC_NS, self.charge_category)
+        ctx.charge(SLAB_ALLOC_NS, "datamgmt.insert")
         slot = self._free.pop()
         self._used.add(slot)
         self.allocs += 1
@@ -282,6 +281,30 @@ class PMetaSlab:
             cont = cont_record.cont
         return frags
 
+    def adopt_frags(self, record, pool, materialized, reachable):
+        """Recovery: re-take the payload references of ``record``.
+
+        Follows the ``cont`` chain, adding each continuation slot to
+        ``reachable``.  ``materialized`` maps buffer slot -> the handle
+        recovery already took: the first reference to a buffer adopts
+        it from ``pool``, each later one takes another reference.
+        Returns the references, one per fragment.
+        """
+        refs = []
+        current = record
+        while True:
+            for buf_slot, _off, _length in current.frags:
+                if buf_slot in materialized:
+                    refs.append(materialized[buf_slot].get())
+                else:
+                    buf = pool.buffer_at_slot(buf_slot)
+                    materialized[buf_slot] = buf
+                    refs.append(buf)
+            if not current.cont:
+                return refs
+            reachable.add(current.cont - 1)
+            current = self.read_record(current.cont - 1)
+
     def read_order(self, slot):
         """``(key, seq)`` of the record in ``slot``: its skip-list order.
 
@@ -301,10 +324,10 @@ class PMetaSlab:
         return data[start:start + min(key_len, MAX_KEY)], seq
 
     def read_next(self, slot, level):
-        return self.region.read_u64(self.slot_base(slot) + _NEXT_OFF + 8 * level)
+        return self.region.read_u64(self.slot_base(slot) + NEXT_OFF + 8 * level)
 
     def write_next(self, slot, level, target, ctx=NULL_CONTEXT, fence=True):
-        addr = self.slot_base(slot) + _NEXT_OFF + 8 * level
+        addr = self.slot_base(slot) + NEXT_OFF + 8 * level
         self.region.write(addr, struct.pack("<Q", target))
         self.region.flush(addr, 8, ctx, "persist")
         if fence:

@@ -4,8 +4,7 @@ TCP receivers keep out-of-order segments in a red-black tree so that an
 arriving in-order segment can quickly find and splice its successors —
 the paper (§4.2) points at this structure as evidence that packet
 metadata builds efficient in-memory indexes.  We use it for exactly
-that (the TCP OOO queue) and again as an alternative store index in the
-ablation benchmarks.
+that (the TCP OOO queue); ``benchmarks/bench_primitives.py`` times it.
 
 Standard CLRS implementation with a shared NIL sentinel.  Keys are
 ints (or anything totally ordered); values are arbitrary.  Duplicate

@@ -242,10 +242,6 @@ class TcpConnection:
         self.snd_nxt += 1
         self._arm_rto()
 
-    def open_passive(self):
-        """Server side: wait for SYN (stack routes it here)."""
-        self.state = TcpState.LISTEN
-
     def accept_syn(self, header, ctx):
         """Server side: a SYN arrived for this fresh connection."""
         self.irs = header.seq

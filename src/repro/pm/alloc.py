@@ -180,11 +180,6 @@ class PMAllocator(PressureSignal):
     def live_allocations(self):
         return len(self._live)
 
-    @property
-    def live_offsets(self):
-        """Snapshot of live payload offsets (sorted)."""
-        return sorted(self._live)
-
     def used_bytes(self):
         return self._used_bytes
 

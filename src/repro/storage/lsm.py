@@ -29,7 +29,7 @@ import struct
 
 from repro.net.checksum import crc32c
 from repro.sim.context import NULL_CONTEXT
-from repro.storage.skiplist import RegionSkipList
+from repro.storage.skiplist import RegionSkipList, newest_versions
 from repro.storage.sstable import SSTable, SSTableBuilder
 from repro.storage.wal import WriteAheadLog
 
@@ -178,11 +178,7 @@ class LSMStore:
 
     def _flush_immutable(self, ctx):
         builder = SSTableBuilder()
-        last_key = None
-        for key, _seq, tombstone, value in self.immutable.versions():
-            if key == last_key:
-                continue
-            last_key = key
+        for key, _seq, tombstone, value in newest_versions(self.immutable.versions()):
             builder.add(key, value, tombstone)
         if builder.nentries:
             table = self._write_table(builder, ctx)

@@ -41,9 +41,17 @@ bottom ``cold_levels`` levels are charged a full device access (346 ns
 on PM vs 70 ns on DRAM — the §5.1 numbers); higher-level nodes are few
 and hot, charged ``HOT_VISIT_NS``.  With the allocator's charge this
 reproduces Table 1's 2.78 µs "buffer allocation and insertion" row.
+
+The algorithm — walk, tower draw, commit, newest-version lookup — is
+:class:`PersistentSkipList`, shared with the packet store
+(:class:`repro.core.pktstore.PacketStore`), whose nodes are packet
+metadata records: §4.2's index pays this very traversal.  A subclass
+says only where a node's links sit, how its order key is decoded and
+how a link is written.
 """
 
 import struct
+from operator import itemgetter
 
 from repro.net.checksum import crc32c
 from repro.pm.alloc import PMAllocator
@@ -75,6 +83,10 @@ HOT_VISIT_NS = 25.0
 #: hot in cache, and charged HOT_VISIT_NS.
 COLD_LEVELS = 2
 
+#: Simulated-time categories: index work and write-back.
+INSERT_CATEGORY = "datamgmt.insert"
+PERSIST_CATEGORY = "persist"
+
 
 class SkipListCorruption(RuntimeError):
     """A node failed its CRC or structural validation."""
@@ -95,78 +107,220 @@ class _XorShift:
         return x
 
 
-class RegionSkipList:
-    """Versioned sorted map of bytes keys/values inside a region."""
+def newest_versions(versions, start=None, end=None, key=itemgetter(0)):
+    """Each key's newest version in ``versions`` with start <= key < end.
 
-    def __init__(self, region, allocator, head_off, seq, rng,
-                 insert_category="datamgmt.insert",
-                 persist_category="persist",
-                 branching=4, cold_levels=COLD_LEVELS):
+    ``versions`` runs in order-key order, where a key's first node is
+    its newest version and every later one is older.
+    """
+    last_key = None
+    for version in versions:
+        this_key = key(version)
+        if this_key == last_key:
+            continue  # older version
+        last_key = this_key
+        if start is not None and this_key < start:
+            continue
+        if end is not None and this_key >= end:
+            break
+        yield version
+
+
+class PersistentSkipList:
+    """The versioned skip-list algorithm over nodes in a PM region.
+
+    A node is named by its *link*, the value its predecessors store.
+    Its level-``l`` link sits at region offset ``link * LINK_STRIDE +
+    LINK_BASE + 8 * l``; 0 is nil.  Subclasses set the two constants
+    and supply ``_order_at(link)`` (decode a node's order key) and
+    ``_set_next(link, level, target, ctx, fence)`` (write one link).
+    """
+
+    LINK_STRIDE = 1
+    LINK_BASE = HEADER_SIZE
+    #: Tallest tower; the head node has every level.
+    max_height = MAX_HEIGHT
+    #: Inverse promotion probability (LevelDB uses 4).
+    branching = 4
+    #: Bottom levels charged a full device access per visit.
+    cold_levels = COLD_LEVELS
+
+    def __init__(self, region, head, seq, rng):
         self.region = region
-        self.allocator = allocator
-        self.head_off = head_off
-        self.insert_category = insert_category
-        self.persist_category = persist_category
-        #: Inverse promotion probability (LevelDB uses 4).
-        self.branching = branching
-        #: Bottom levels charged a full device access per visit.
-        self.cold_levels = cold_levels
+        #: Link of the head node, which sorts before every key.
+        self.head = head
         self._seq = seq
         self._rng = rng
-        #: Volatile node offset -> order key ``(key, MAX_SEQ - seq)`` of
-        #: every linked node.  A linked node's header and key never
-        #: change (only its ``next`` slots do), so an entry cannot go
-        #: stale; :meth:`recover` rebuilds the map from the image.
+        #: Volatile link -> order key of linked nodes, read by the walk
+        #: before it decodes a node.  A subclass fills it only when a
+        #: linked node's key and sequence cannot change under it.
         self._orders = {}
         self.count = 0          # live versions (excluding head)
+
+    @staticmethod
+    def _order(key, seq):
+        """Total order: key ascending, newest version first."""
+        return (key, MAX_SEQ - seq)
+
+    def _next_of(self, node, level):
+        return self.region.read_u64(
+            node * self.LINK_STRIDE + self.LINK_BASE + 8 * level)
+
+    def _chain(self, level):
+        """Links of the nodes on ``level``, in order."""
+        node = self._next_of(self.head, level)
+        while node:
+            yield node
+            node = self._next_of(node, level)
+
+    def _find_predecessors(self, order_key, ctx):
+        """Per-level links of the last nodes strictly before ``order_key``.
+
+        The walk dominates every insert.  Every link it follows is read
+        from the device image, bounds-checked against the region first
+        (raising from ``Region._check`` like the
+        :class:`~repro.pm.device.Region` accessors).  The target's order
+        key comes from the volatile ``_orders`` map; on a miss
+        ``_order_at`` decodes it, and rejects a bad link by raising.
+
+        Cache model: level 0 is always cold (every node there is unique
+        memory); on the next ``cold_levels - 1`` levels only nodes the
+        walk steps past are cold — the boundary node that ends the walk
+        was just read at the level above and is still cached.  Cold
+        visits cost a device access, hot ones ``HOT_VISIT_NS``.
+        """
+        region = self.region
+        data = region.device.data
+        base = region.base
+        last = region.size - 8  # the last offset a link may start at
+        read_next = NEXT.unpack_from
+        stride = self.LINK_STRIDE
+        link_base = self.LINK_BASE
+        orders = self._orders
+        order_at = self._order_at
+        category = INSERT_CATEGORY
+        cold_levels = self.cold_levels
+        cold_ns = region.device.access_ns
+        charge = ctx.charge
+        height = self.max_height
+        node = self.head
+        preds = [node] * height
+        for level in range(height - 1, -1, -1):
+            offset = link_base + 8 * level
+            past_ns = cold_ns if level < cold_levels else HOT_VISIT_NS
+            stop_ns = cold_ns if level == 0 else HOT_VISIT_NS
+            while True:
+                link = node * stride + offset
+                if link > last:
+                    region._check(link, 8)
+                nxt = read_next(data, base + link)[0]
+                if not nxt:
+                    break
+                order = orders.get(nxt)
+                if order is None:
+                    order = order_at(nxt)
+                if order < order_key:
+                    charge(past_ns, category)
+                    node = nxt
+                else:
+                    charge(stop_ns, category)
+                    break
+            preds[level] = node
+        return preds
+
+    def _random_height(self):
+        height = 1
+        while height < self.max_height and self._rng.next() % self.branching == 0:
+            height += 1  # p = 1/branching
+        return height
+
+    def _link(self, preds, node, height, ctx):
+        """Commit a persisted ``node`` of ``height`` after ``preds``.
+
+        Level 0 makes the node visible: it is linked and fenced first
+        (the commit point).  The higher levels are search hints — a
+        stale one simply skips the node — flushed after, one fence.
+        """
+        set_next = self._set_next
+        set_next(preds[0], 0, node, ctx, fence=True)
+        for level in range(1, height):
+            set_next(preds[level], level, node, ctx, fence=False)
+        if height > 1:
+            self.region.fence(ctx, PERSIST_CATEGORY)
+
+    def _first_version(self, key, ctx):
+        """Link of ``key``'s first node, its newest version; 0 if none."""
+        preds = self._find_predecessors(self._order(key, MAX_SEQ), ctx)
+        node = self._next_of(preds[0], 0)
+        if node and (self._orders.get(node) or self._order_at(node))[0] == key:
+            return node
+        return 0
+
+    def __len__(self):
+        """Number of distinct live keys (a subclass's ``scan``; O(n))."""
+        return sum(1 for _ in self.scan())
+
+
+class RegionSkipList(PersistentSkipList):
+    """Versioned sorted map of bytes keys/values inside a region.
+
+    A link is the node's region offset.  Nodes are never freed and a
+    linked node's header and key never change, so ``insert`` and
+    ``recover`` fill ``_orders`` and the walk decodes no node.
+    """
+
+    def __init__(self, region, allocator, head_off, seq, rng,
+                 branching=4, cold_levels=COLD_LEVELS):
+        super().__init__(region, head_off, seq, rng)
+        self.allocator = allocator
+        self.branching = branching
+        self.cold_levels = cold_levels
         self.data_bytes = 0     # key+value payload bytes
+
+    @property
+    def head_off(self):
+        return self.head
 
     # ------------------------------------------------------------ construction
 
     @classmethod
-    def create(cls, region, seed=1, insert_category="datamgmt.insert",
-               persist_category="persist", branching=4, cold_levels=COLD_LEVELS):
+    def create(cls, region, seed=1, branching=4, cold_levels=COLD_LEVELS):
         """Initialise a fresh skip list at the start of ``region``."""
         allocator = PMAllocator(
             region.subregion(ROOT_SIZE, region.size - ROOT_SIZE, f"{region.name}.heap"),
-            charge_category=insert_category,
-            persist_category=persist_category,
+            charge_category=INSERT_CATEGORY,
+            persist_category=PERSIST_CATEGORY,
         )
         slist = cls(region, allocator, 0, 1, _XorShift(seed),
-                    insert_category, persist_category,
                     branching=branching, cold_levels=cold_levels)
         # Head node: zero-length key, full height, seq 0.
-        head_off = slist._write_node(
+        slist.head = slist._write_node(
             b"", b"", MAX_HEIGHT, 0, 0,
             [0] * MAX_HEIGHT, NULL_CONTEXT,
         )
-        slist.head_off = head_off
-        region.write(0, ROOT.pack(ROOT_MAGIC, head_off, 0))
+        region.write(0, ROOT.pack(ROOT_MAGIC, slist.head, 0))
         region.persist(0, ROOT.size, NULL_CONTEXT)
         return slist
 
     @classmethod
-    def recover(cls, region, seed=1, insert_category="datamgmt.insert",
-                persist_category="persist", branching=4, cold_levels=COLD_LEVELS):
+    def recover(cls, region, seed=1, branching=4, cold_levels=COLD_LEVELS):
         """Rebuild after a crash from the region's persisted contents."""
         allocator = PMAllocator.attach(
             region.subregion(ROOT_SIZE, region.size - ROOT_SIZE, f"{region.name}.heap"),
-            charge_category=insert_category,
-            persist_category=persist_category,
+            charge_category=INSERT_CATEGORY,
+            persist_category=PERSIST_CATEGORY,
         )
         live = {offset + ROOT_SIZE for offset in allocator.recover()}
         magic, head_off, _ = ROOT.unpack(region.read(0, ROOT.size))
         if magic != ROOT_MAGIC:
             raise SkipListCorruption("no skip list root in region")
         slist = cls(region, allocator, head_off, 1, _XorShift(seed),
-                    insert_category, persist_category,
                     branching=branching, cold_levels=cold_levels)
         orders = slist._orders
         reachable = {head_off}
         max_seq = 0
         prev = head_off
-        cursor = slist._next_of(head_off, 0)
-        while cursor:
+        for cursor in slist._chain(0):
             if cursor not in live or not slist._validate_node(cursor):
                 # Persist-before-link makes this unreachable in a clean
                 # run; tolerate it by truncating the chain defensively.
@@ -179,7 +333,6 @@ class RegionSkipList:
             slist.data_bytes += key_len + value_len
             reachable.add(cursor)
             prev = cursor
-            cursor = slist._next_of(cursor, 0)
         # Allocated-but-never-linked nodes (crash mid-insert) are garbage.
         for offset in live - reachable:
             allocator.free(offset - ROOT_SIZE)
@@ -199,15 +352,21 @@ class RegionSkipList:
             node_off + HEADER_SIZE + 8 * height + key_len, value_len
         )
 
-    def _next_of(self, node_off, level):
-        return self.region.read_u64(node_off + HEADER_SIZE + 8 * level)
+    def _order_at(self, node_off):
+        """Order key of the node at ``node_off``, decoded from the image.
+
+        Only a bad link misses ``_orders``; the header and key reads
+        are bounds-checked, so one past the region raises.
+        """
+        key_len, _vl, height, _fl, seq, _vc, _nc = self._header(node_off)
+        return self._node_key(node_off, key_len, height), MAX_SEQ - seq
 
     def _set_next(self, node_off, level, target, ctx, fence=False):
         addr = node_off + HEADER_SIZE + 8 * level
         self.region.write(addr, NEXT.pack(target))
-        self.region.flush(addr, 8, ctx, self.persist_category)
+        self.region.flush(addr, 8, ctx, PERSIST_CATEGORY)
         if fence:
-            self.region.fence(ctx, self.persist_category)
+            self.region.fence(ctx, PERSIST_CATEGORY)
 
     def _node_size(self, key_len, value_len, height):
         return HEADER_SIZE + 8 * height + key_len + value_len
@@ -238,7 +397,7 @@ class RegionSkipList:
             + value
         )
         self.region.write(node_off, blob)
-        self.region.persist(node_off, len(blob), ctx, self.persist_category)
+        self.region.persist(node_off, len(blob), ctx, PERSIST_CATEGORY)
         return node_off
 
     def _validate_node(self, node_off):
@@ -254,79 +413,6 @@ class RegionSkipList:
         key = self._node_key(node_off, key_len, height)
         return self._node_crc(header20, key) == node_crc
 
-    # ----------------------------------------------------------------- ordering
-
-    @staticmethod
-    def _order(key, seq):
-        """Total order: key ascending, newest version first."""
-        return (key, MAX_SEQ - seq)
-
-    def _find_predecessors(self, order_key, ctx):
-        """Per-level last nodes strictly before ``order_key``.
-
-        The walk dominates every insert.  Every link it follows is read
-        from the device image, bounds-checked against the region first
-        (raising from ``Region._check`` like the
-        :class:`~repro.pm.device.Region` accessors).  The target's order
-        key comes from the volatile ``_orders`` map; on a miss the node
-        is decoded from the image, one header unpack and one key slice,
-        each bounds-checked the same way, so a bad pointer still raises.
-
-        Cache model: level 0 is always cold (every node there is unique
-        memory); on the next ``cold_levels - 1`` levels only nodes the
-        walk steps past are cold — the boundary node that ends the walk
-        was just read at the level above and is still cached.  Cold
-        visits cost a device access, hot ones ``HOT_VISIT_NS``.
-        """
-        region = self.region
-        data = region.device.data
-        base = region.base
-        size = region.size
-        unpack = HEADER.unpack_from
-        read_next = NEXT.unpack_from
-        category = self.insert_category
-        cold_levels = self.cold_levels
-        cold_ns = region.device.access_ns
-        charge = ctx.charge
-        orders = self._orders
-        node = self.head_off
-        preds = [node] * MAX_HEIGHT
-        for level in range(MAX_HEIGHT - 1, -1, -1):
-            slot = HEADER_SIZE + 8 * level
-            past_ns = cold_ns if level < cold_levels else HOT_VISIT_NS
-            stop_ns = cold_ns if level == 0 else HOT_VISIT_NS
-            while True:
-                link = node + slot
-                if link + 8 > size:
-                    region._check(link, 8)
-                nxt = read_next(data, base + link)[0]
-                if not nxt:
-                    break
-                order = orders.get(nxt)
-                if order is None:
-                    if nxt + HEADER_SIZE > size:
-                        region._check(nxt, HEADER_SIZE)
-                    key_len, _vl, height, _fl, seq, _vc, _nc = unpack(data, base + nxt)
-                    key_at = nxt + HEADER_SIZE + 8 * height
-                    if key_at + key_len > size:
-                        region._check(key_at, key_len)
-                    key_at += base
-                    order = (data[key_at:key_at + key_len], MAX_SEQ - seq)
-                if order < order_key:
-                    charge(past_ns, category)
-                    node = nxt
-                else:
-                    charge(stop_ns, category)
-                    break
-            preds[level] = node
-        return preds
-
-    def _random_height(self):
-        height = 1
-        while height < MAX_HEIGHT and self._rng.next() % self.branching == 0:
-            height += 1  # p = 1/branching; LevelDB uses 4
-        return height
-
     # ----------------------------------------------------------------- mutation
 
     def insert(self, key, value, ctx=NULL_CONTEXT, tombstone=False):
@@ -341,13 +427,8 @@ class RegionSkipList:
         nexts = [self._next_of(preds[level], level) for level in range(height)]
         flags = TOMBSTONE if tombstone else 0
         node_off = self._write_node(key, value, height, flags, seq, nexts, ctx)
-        # Level 0 makes the node visible; fence before touching hints.
-        self._set_next(preds[0], 0, node_off, ctx, fence=True)
+        self._link(preds, node_off, height, ctx)
         self._orders[node_off] = order_key
-        for level in range(1, height):
-            self._set_next(preds[level], level, node_off, ctx, fence=False)
-        if height > 1:
-            self.region.fence(ctx, self.persist_category)
         self.count += 1
         self.data_bytes += len(key) + len(value)
         return seq
@@ -365,14 +446,10 @@ class RegionSkipList:
         existed here, ``(True, None)`` if its newest version is a
         tombstone, ``(True, bytes)`` otherwise.
         """
-        preds = self._find_predecessors(self._order(key, MAX_SEQ), ctx)
-        node = self._next_of(preds[0], 0)
+        node = self._first_version(key, ctx)
         if not node:
             return False, None
         key_len, value_len, height, flags, _seq, value_crc, _nc = self._header(node)
-        stored_key = self._node_key(node, key_len, height)
-        if stored_key != key:
-            return False, None
         if flags & TOMBSTONE:
             return True, None
         value = self._node_value(node, key_len, value_len, height)
@@ -382,40 +459,25 @@ class RegionSkipList:
 
     def versions(self):
         """Every stored version in order: (key, seq, tombstone, value)."""
-        node = self._next_of(self.head_off, 0)
-        while node:
+        for node in self._chain(0):
             key_len, value_len, height, flags, seq, _vc, _nc = self._header(node)
             key = self._node_key(node, key_len, height)
             value = self._node_value(node, key_len, value_len, height)
             yield key, seq, bool(flags & TOMBSTONE), value
-            node = self._next_of(node, 0)
 
     def scan(self, start=None, end=None):
         """Latest live versions with start <= key < end, in key order."""
-        last_key = None
-        for key, _seq, tombstone, value in self.versions():
-            if key == last_key:
-                continue  # older version
-            last_key = key
-            if start is not None and key < start:
-                continue
-            if end is not None and key >= end:
-                break
+        for key, _seq, tombstone, value in newest_versions(self.versions(), start, end):
             if not tombstone:
                 yield key, value
-
-    def __len__(self):
-        """Number of distinct live keys (scan-based; O(n))."""
-        return sum(1 for _ in self.scan())
 
     # -------------------------------------------------------------- validation
 
     def check_invariants(self):
         """Ordering + height-chain consistency (used by property tests)."""
         for level in range(MAX_HEIGHT):
-            node = self._next_of(self.head_off, level)
             prev_order = None
-            while node:
+            for node in self._chain(level):
                 key_len, _vl, height, _fl, seq, _vc, _nc = self._header(node)
                 assert level < height, "node linked above its height"
                 key = self._node_key(node, key_len, height)
@@ -423,18 +485,11 @@ class RegionSkipList:
                 if prev_order is not None:
                     assert prev_order < order, f"order violated at level {level}"
                 prev_order = order
-                node = self._next_of(node, level)
         # Every higher-level chain is a subsequence of level 0.
-        level0 = set()
-        node = self._next_of(self.head_off, 0)
-        while node:
-            level0.add(node)
-            node = self._next_of(node, 0)
+        level0 = set(self._chain(0))
         for level in range(1, MAX_HEIGHT):
-            node = self._next_of(self.head_off, level)
-            while node:
+            for node in self._chain(level):
                 assert node in level0, "higher-level node missing from level 0"
-                node = self._next_of(node, level)
         return True
 
     def __repr__(self):

@@ -25,6 +25,7 @@ from repro.sim.context import NULL_CONTEXT
 from repro.storage.skiplist import (
     COLD_LEVELS,
     HOT_VISIT_NS,
+    INSERT_CATEGORY,
     MAX_HEIGHT,
     MAX_SEQ,
     RegionSkipList,
@@ -41,9 +42,9 @@ def reference_skiplist_walk(slist, order_key, ctx):
             key = slist._node_key(nxt, key_len, height)
             advanced = slist._order(key, seq) < order_key
             if level == 0 or (level < slist.cold_levels and advanced):
-                slist.region.charge_access(ctx, 1, slist.insert_category)
+                slist.region.charge_access(ctx, 1, INSERT_CATEGORY)
             else:
-                ctx.charge(HOT_VISIT_NS, slist.insert_category)
+                ctx.charge(HOT_VISIT_NS, INSERT_CATEGORY)
             if not advanced:
                 break
             node = nxt
@@ -183,7 +184,7 @@ def test_store_walk_matches_reference(seed):
     rng = random.Random(seed + 100)
     for probe in _probes(keys, STORE_MAX_SEQ, rng):
         ours, ref = walk_both(
-            store._find_predecessors,
+            lambda order_key, ctx: [link - 1 for link in store._find_predecessors(order_key, ctx)],
             lambda order_key, ctx: reference_store_walk(store, order_key, ctx),
             probe,
         )
@@ -239,3 +240,38 @@ def test_read_order_rejects_where_read_record_does(offset, value, expect):
     assert slab.read_order(slot) == (record.key, record.seq)
     if expect is not None:
         assert len(record.key) == expect
+
+
+# ------------------------------------------------------ one traversal (§4.2)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_packet_index_walk_equals_storage_index_walk(seed):
+    """§4.2: the packet store pays the storage skip list's traversal.
+
+    Both indexes take the same seed, so they draw the same towers, and
+    the same 300 puts; every probe's walk then charges the same
+    ``(category, ns)`` sequence in both.
+    """
+    size = 1 << 20
+    slist = RegionSkipList.create(PMDevice(size).region(0, size, "mt"), seed=seed)
+    slots = 512
+    ns = PMNamespace(PMDevice(slots * 2048 + size + (1 << 16)))
+    pool = BufferPool(ns.create("pool", slots * 2048), 2048)
+    store = PacketStore.create(ns.create("meta", size), pool, seed=seed)
+    rng = random.Random(seed)
+    keys = [f"k-{rng.randrange(1000):04d}".encode() for _ in range(300)]
+    for key in keys:
+        slist.insert(key, b"v")
+        buf = pool.alloc()
+        buf.write(128, b"v")
+        store.put(key, [(buf, 128, 1)], 1, 0, 0)
+    probe_rng = random.Random(seed + 100)
+    for probe in _probes(sorted(set(keys)), MAX_SEQ, probe_rng):
+        traces = []
+        for index in (slist, store):
+            ctx = ExecutionContext(trace=True)
+            index._find_predecessors(probe, ctx)
+            traces.append(ctx.trace)
+        assert traces[0] == traces[1], probe
+        assert traces[0], "a walk over a populated index visits nodes"

@@ -12,6 +12,8 @@ Run locally with:  PYTHONPATH=src python -m pytest -m perf -q
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -51,12 +53,20 @@ def test_normalized_throughput_within_tolerance(baseline):
     )
 
 
-def test_peak_rss_within_budget(baseline):
-    current = run_all()
+def test_peak_rss_within_budget(baseline, tmp_path):
     base_rss = baseline["aggregate"]["peak_rss_kb"]
-    cur_rss = current["aggregate"]["peak_rss_kb"]
     if base_rss <= 0:
         pytest.skip("baseline has no RSS measurement")
+    # ``ru_maxrss`` is a per-process high-water mark: read in this
+    # process it holds whatever the session ran before.  Measure a
+    # fresh benchmark process, as the baseline was.
+    path = tmp_path / "speed.json"
+    src = os.path.join(REPO_ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "repro.bench.speed", "--json", str(path)],
+                   check=True, cwd=REPO_ROOT, env=env, stdout=subprocess.DEVNULL)
+    cur_rss = json.loads(path.read_text())["aggregate"]["peak_rss_kb"]
     # RSS is stable run to run (deterministic allocations); 2x headroom
     # only guards against a pathological blowup, not noise.
     assert cur_rss <= 2 * base_rss, (
