@@ -15,12 +15,13 @@ Run:  python examples/homa_transport.py
 
 from repro.bench.testbed import make_testbed
 from repro.bench.wrk import HomaWrkClient, WrkClient
+from repro.storage.server import ServerConfig
 
 ENGINES = ("null", "novelsm", "pktstore")
 
 
 def measure(transport, engine):
-    testbed = make_testbed(engine=engine, transport=transport)
+    testbed = make_testbed(ServerConfig(engine=engine, transport=transport))
     client_cls = HomaWrkClient if transport == "homa" else WrkClient
     wrk = client_cls(testbed.client, "10.0.0.1", connections=1,
                      value_size=1024, duration_ns=2_000_000, warmup_ns=400_000)

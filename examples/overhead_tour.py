@@ -11,6 +11,7 @@ Run:  python examples/overhead_tour.py
 from repro.bench.testbed import make_testbed
 from repro.bench.wrk import WrkClient
 from repro.sim.units import ns_to_us
+from repro.storage.server import ServerConfig
 
 CATEGORIES = [
     ("net.driver", "NIC driver rx/tx"),
@@ -44,7 +45,7 @@ STORIES = {
 
 
 def tour(engine):
-    testbed = make_testbed(engine=engine)
+    testbed = make_testbed(ServerConfig(engine=engine))
     wrk = WrkClient(testbed.client, "10.0.0.1", connections=1,
                     value_size=1024, duration_ns=1_500_000, warmup_ns=300_000)
     stats = wrk.run()

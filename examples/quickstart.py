@@ -13,11 +13,12 @@ from repro.bench.table1 import PAPER, render, run_table1
 from repro.bench.testbed import make_testbed
 from repro.bench.wrk import WrkClient
 from repro.net.http import HttpParser, build_request
+from repro.storage.server import ServerConfig
 
 
 def manual_requests():
     """Drive a handful of explicit requests through the full stack."""
-    testbed = make_testbed(engine="novelsm")
+    testbed = make_testbed(ServerConfig(engine="novelsm"))
     requests = [
         build_request("PUT", "/greeting", b"hello persistent memory"),
         build_request("GET", "/greeting"),
@@ -59,7 +60,7 @@ def manual_requests():
 
 def closed_loop():
     """A short wrk run: the paper's continual-1KB-write workload."""
-    testbed = make_testbed(engine="novelsm")
+    testbed = make_testbed(ServerConfig(engine="novelsm"))
     wrk = WrkClient(testbed.client, "10.0.0.1", connections=1,
                     value_size=1024, duration_ns=2_000_000, warmup_ns=400_000)
     stats = wrk.run()
