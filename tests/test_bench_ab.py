@@ -81,3 +81,19 @@ def test_failed_run_fails_even_when_the_metrics_agree(tmp_path):
     assert proc.returncode == 1
     assert "within bound" in proc.stdout
     assert [c[1] for c in calls] == [WORKLOADS[-1]] * 2
+
+
+def _leaders(calls):
+    """workload -> the side that ran it first."""
+    return {workload: side for side, workload, *_ in reversed(calls)}
+
+
+def test_consecutive_runs_start_each_workload_from_both_sides(tmp_path):
+    base, cand = _tree(tmp_path, "base"), _tree(tmp_path, "cand")
+    _, first = _gate(tmp_path, base, cand, *WORKLOADS[:2])
+    proc, calls = _gate(tmp_path, base, cand, *WORKLOADS[:2])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    flip = {"base": "cand", "cand": "base"}
+    assert _leaders(first) == {WORKLOADS[0]: "base", WORKLOADS[1]: "cand"}
+    assert _leaders(calls[len(first):]) == {
+        w: flip[side] for w, side in _leaders(first).items()}

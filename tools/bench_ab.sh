@@ -4,10 +4,16 @@
 #     tools/bench_ab.sh BASE_TREE CAND_TREE [WORKLOAD...]
 #
 # For each workload (default: every one in CAND_TREE's BENCHMARK.json)
-# runs each tree's own benchmark/run.py once, alternating which tree
-# goes first, then CAND_TREE's benchmark/compare.py on the pair.  Exits
-# 1 if any run fails its checks or any end-to-end metric reads `worse`
-# under BENCHMARK.json's bounds.  There are no retries.
+# runs each tree's own benchmark/run.py once, then CAND_TREE's
+# benchmark/compare.py on the pair.  Exits 1 if any run fails its
+# checks or any end-to-end metric reads `worse` under BENCHMARK.json's
+# bounds.  There are no retries.
+#
+# Which tree goes first alternates per workload, and it is carried
+# across invocations in CAND_TREE/.bench_ab_order (one "WORKLOAD SIDE"
+# line per workload, SIDE being the tree that last went first): a
+# workload seen before starts from the other side, so two consecutive
+# runs on the same trees run every workload once from each side.
 set -u
 [ $# -ge 2 ] || { echo "usage: $0 BASE_TREE CAND_TREE [WORKLOAD...]" >&2; exit 2; }
 base=$(cd "$1" && pwd) && cand=$(cd "$2" && pwd) || exit 2
@@ -19,8 +25,18 @@ names=$(spec '" ".join(w["name"] for w in d["workloads"])') || exit 2
 out=$(mktemp -d) || exit 2
 trap 'rm -rf "$out"' EXIT
 trap 'exit 130' INT TERM
-status=0 order="base cand"
+state=$cand/.bench_ab_order
+touch "$state" || exit 2
+status=0 parity=0
 for w in "$@"; do
+    case $(awk -v w="$w" '$1 == w { print $2 }' "$state") in
+        base) order="cand base" ;;
+        cand) order="base cand" ;;
+        *) [ $parity -eq 0 ] && order="base cand" || order="cand base" ;;
+    esac
+    parity=$((1 - parity))
+    { awk -v w="$w" '$1 != w' "$state"; echo "$w ${order%% *}"; } >"$out/state"
+    mv "$out/state" "$state"
     for side in $order; do
         case $side in base) tree=$base ;; *) tree=$cand ;; esac
         echo "== $w: $side ($tree)"
@@ -31,7 +47,6 @@ for w in "$@"; do
     if [ -f "$out/$w.base.json" ] && [ -f "$out/$w.cand.json" ]; then
         python3 "$cand/benchmark/compare.py" "$out/$w.base.json" "$out/$w.cand.json" || status=1
     fi
-    case $order in base*) order="cand base" ;; *) order="base cand" ;; esac
 done
 [ $status -eq 0 ] && echo "bench_ab: pass" || echo "bench_ab: FAIL"
 exit $status
