@@ -15,11 +15,8 @@ doing, the way requests from 10⁵–10⁶ independent users do.  Pieces:
 
 - :class:`OpenLoopSource` — a :class:`~repro.bench.workloads.TrafficSource`
   whose ``next_arrival()`` additionally yields *when* each request
-  arrives: Poisson base arrivals (exponential interarrivals at the
-  offered rate), optionally modulated by :class:`BurstModulation`
-  (square-wave flash crowds) and :class:`DiurnalModulation` (sinusoidal
-  day/night swing), realised by Lewis–Shedler thinning against the peak
-  rate.  Keys are heavy-tailed Zipf over a shared key space (the one
+  arrives: Poisson arrivals (exponential interarrivals at the offered
+  rate).  Keys are heavy-tailed Zipf over a shared key space (the one
   :class:`~repro.bench.workloads.ZipfianGenerator`, not a second
   implementation), attributed to one of ``clients`` logical clients,
   and a seeded churn coin marks arrivals that open a **fresh
@@ -42,71 +39,6 @@ import math
 import random
 
 from repro.bench.workloads import TrafficSource, ZipfianGenerator
-
-
-class BurstModulation:
-    """Square-wave rate bursts: flash crowds at a fixed cadence.
-
-    For the first ``duty`` fraction of every ``period_ns`` window the
-    offered rate is multiplied by ``factor``; the rest of the window
-    runs at the base rate.  ``factor`` may be < 1 to model lulls.
-    """
-
-    def __init__(self, factor=3.0, period_ns=2_000_000.0, duty=0.25,
-                 phase_ns=0.0):
-        if factor <= 0:
-            raise ValueError("burst factor must be positive")
-        if period_ns <= 0:
-            raise ValueError("burst period must be positive")
-        if not 0.0 < duty < 1.0:
-            raise ValueError("duty must be in (0, 1)")
-        self.factor = factor
-        self.period_ns = period_ns
-        self.duty = duty
-        self.phase_ns = phase_ns
-
-    @property
-    def peak_factor(self):
-        return max(1.0, self.factor)
-
-    def factor_at(self, t_ns):
-        offset = (t_ns + self.phase_ns) % self.period_ns
-        return self.factor if offset < self.duty * self.period_ns else 1.0
-
-    def describe(self):
-        return {"kind": "burst", "factor": self.factor,
-                "period_ns": self.period_ns, "duty": self.duty}
-
-
-class DiurnalModulation:
-    """Sinusoidal day/night swing scaled into simulated time.
-
-    Rate factor is ``1 + amplitude * sin(2π t / period + phase)`` —
-    a "day" compressed to ``period_ns`` of sim time so a soak can cross
-    several peaks.  ``amplitude`` must stay below 1 so the rate never
-    goes negative.
-    """
-
-    def __init__(self, amplitude=0.5, period_ns=20_000_000.0, phase=0.0):
-        if not 0.0 < amplitude < 1.0:
-            raise ValueError("amplitude must be in (0, 1)")
-        if period_ns <= 0:
-            raise ValueError("diurnal period must be positive")
-        self.amplitude = amplitude
-        self.period_ns = period_ns
-        self.phase = phase
-        self._omega = 2.0 * math.pi / period_ns
-
-    @property
-    def peak_factor(self):
-        return 1.0 + self.amplitude
-
-    def factor_at(self, t_ns):
-        return 1.0 + self.amplitude * math.sin(self._omega * t_ns + self.phase)
-
-    def describe(self):
-        return {"kind": "diurnal", "amplitude": self.amplitude,
-                "period_ns": self.period_ns}
 
 
 class Arrival:
@@ -138,8 +70,7 @@ class OpenLoopSource(TrafficSource):
     simulated time — what the population sends regardless of how the
     server responds.  ``next_arrival(now_ns)`` advances an internal
     arrival clock and returns ``(arrival_time_ns, Arrival)``; the
-    stream is a (possibly non-homogeneous) Poisson process realised by
-    thinning candidate exponential steps at the peak rate.
+    stream is a Poisson process at ``rate_rps``.
 
     As a plain :class:`TrafficSource`, ``next_op`` yields the same
     operation stream without timing — so the protocol conformance and
@@ -155,15 +86,12 @@ class OpenLoopSource(TrafficSource):
     key_space   Zipf(θ) key universe shared by the whole population
     churn       per-arrival probability the issuing client has no warm
                 connection — the consumer must pay a fresh handshake
-    burst /     optional :class:`BurstModulation` /
-    diurnal     :class:`DiurnalModulation` instances
     ========== =========================================================
     """
 
     def __init__(self, rate_rps, clients=100_000, key_space=10_000,
                  value_size=256, theta=0.99, read_fraction=0.0,
-                 churn=0.0, seed=1, key_prefix="ol", burst=None,
-                 diurnal=None):
+                 churn=0.0, seed=1, key_prefix="ol"):
         if rate_rps <= 0:
             raise ValueError("offered rate must be positive")
         if clients < 1:
@@ -181,38 +109,16 @@ class OpenLoopSource(TrafficSource):
         self.churn = churn
         self.seed = seed
         self.key_prefix = key_prefix
-        self.burst = burst
-        self.diurnal = diurnal
         # Separate streams so the op sequence (keys, methods) is
         # identical whether consumed open-loop or via next_op.
         self._timing_rng = random.Random(seed)
         self._op_rng = random.Random(seed ^ 0x0431)
         self._zipf = ZipfianGenerator(key_space, theta, seed ^ 0x21F)
         self._value = bytes((0x61 + (i % 23)) for i in range(value_size))
-        self._base_per_ns = rate_rps / 1e9
-        self._peak_per_ns = self._base_per_ns
-        if burst is not None:
-            self._peak_per_ns *= burst.peak_factor
-        if diurnal is not None:
-            self._peak_per_ns *= diurnal.peak_factor
+        self._rate_per_ns = rate_rps / 1e9
         #: Arrival clock: where the stochastic process has advanced to.
         self.arrival_clock_ns = None
         self.generated = 0
-
-    # -- rate -----------------------------------------------------------------
-
-    def rate_at(self, t_ns):
-        """Instantaneous offered rate (requests per *second*) at ``t_ns``."""
-        factor = 1.0
-        if self.burst is not None:
-            factor *= self.burst.factor_at(t_ns)
-        if self.diurnal is not None:
-            factor *= self.diurnal.factor_at(t_ns)
-        return self.rate_rps * factor
-
-    @property
-    def peak_rate_rps(self):
-        return self._peak_per_ns * 1e9
 
     # -- arrival stream -------------------------------------------------------
 
@@ -226,18 +132,9 @@ class OpenLoopSource(TrafficSource):
         """
         if self.arrival_clock_ns is None:
             self.arrival_clock_ns = float(now_ns or 0.0)
-        t = self.arrival_clock_ns
         timing = self._timing_rng
-        peak = self._peak_per_ns
-        # Lewis–Shedler thinning: candidate steps at the peak rate,
-        # accepted with probability rate(t)/peak.  With no modulation
-        # peak == rate and every candidate is accepted — plain Poisson.
-        while True:
-            t += -math.log(1.0 - timing.random()) / peak
-            if self.burst is None and self.diurnal is None:
-                break
-            if timing.random() * peak <= self.rate_at(t) / 1e9:
-                break
+        t = self.arrival_clock_ns - \
+            math.log(1.0 - timing.random()) / self._rate_per_ns
         self.arrival_clock_ns = t
         self.generated += 1
         client_id = timing.randrange(self.clients)
@@ -259,7 +156,7 @@ class OpenLoopSource(TrafficSource):
         return self._draw_op()
 
     def describe(self):
-        description = {
+        return {
             "source": "openloop",
             "rate_rps": self.rate_rps,
             "clients": self.clients,
@@ -270,11 +167,6 @@ class OpenLoopSource(TrafficSource):
             "churn": self.churn,
             "seed": self.seed,
         }
-        if self.burst is not None:
-            description["burst"] = self.burst.describe()
-        if self.diurnal is not None:
-            description["diurnal"] = self.diurnal.describe()
-        return description
 
     def __repr__(self):
         return (f"<OpenLoopSource {self.rate_rps:.0f} rps "

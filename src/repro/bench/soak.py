@@ -45,9 +45,9 @@ vacuous — the same pattern as ``repro-chaoscheck``.
 
 The JSON export (``--json``, schema ``repro-bench-soak/v1``) carries
 the latency-vs-offered-load curve: per point offered/goodput krps,
-digest + exact p50/p99/p99.9, shed/degrade/backpressure counters, and
-a knee estimate interpolated from where goodput stops tracking offered
-load.  ``BENCH_soak.json`` at the repo root is a committed canned
+exact p50/p99/p99.9 and the digest p99, shed/degrade/backpressure
+counters, and a knee estimate interpolated from where goodput stops
+tracking offered load.  ``BENCH_soak.json`` at the repo root is a committed canned
 sweep; ``tests/test_bench_soak.py`` asserts the knee shape on it.
 """
 
@@ -55,8 +55,7 @@ import argparse
 import json
 import sys
 
-from repro.bench.openloop import (BurstModulation, DiurnalModulation,
-                                  OpenLoopSource)
+from repro.bench.openloop import OpenLoopSource
 from repro.bench.testbed import SERVER_IP, make_testbed
 from repro.bench.wrk import OpenLoopWrkClient
 from repro.core.overload import OverloadController, QueuePressure
@@ -159,9 +158,8 @@ def check_schema(doc):
         "rate_krps", "offered_krps", "goodput_krps", "admitted", "shed",
         "storage_full", "errors", "abandoned", "churns", "handshakes",
         "resets", "backlog_peak", "backlog_at_stop", "p50_us", "p99_us",
-        "p999_us", "digest_p50_us", "digest_p99_us", "digest_p999_us",
-        "avg_us", "degrade_decisions", "reclaims",
-        "pressure_transitions", "rx_exhaustions", "under_pressure_final",
+        "p999_us", "digest_p99_us", "avg_us", "degrade_decisions",
+        "reclaims", "pressure_transitions", "rx_exhaustions", "under_pressure_final",
     }
     for point in doc["points"]:
         missing = point_keys - set(point)
@@ -227,17 +225,11 @@ def run_point(rate_rps, args, report, containment=True):
                     f"server wedged)",
         )
     testbed, controller = _build_point_testbed(args, containment)
-    burst = None
-    if args["burst_factor"] > 1.0:
-        burst = BurstModulation(factor=args["burst_factor"])
-    diurnal = None
-    if args["diurnal_amplitude"] > 0.0:
-        diurnal = DiurnalModulation(amplitude=args["diurnal_amplitude"])
     source = OpenLoopSource(
         rate_rps, clients=args["clients"], key_space=args["key_space"],
         value_size=args["value_size"], theta=args["theta"],
         read_fraction=args["read_fraction"], churn=args["churn"],
-        seed=args["seed"], burst=burst, diurnal=diurnal,
+        seed=args["seed"],
     )
     client = OpenLoopWrkClient(
         testbed.client, SERVER_IP, source, sockets=args["sockets"],
@@ -271,9 +263,7 @@ def run_point(rate_rps, args, report, containment=True):
         "p50_us": stats.percentile_us(50),
         "p99_us": stats.percentile_us(99),
         "p999_us": stats.percentile_us(99.9),
-        "digest_p50_us": stats.digest_percentile_us(50),
         "digest_p99_us": stats.digest_percentile_us(99),
-        "digest_p999_us": stats.digest_percentile_us(99.9),
         "degrade_decisions": overload_stats.get("degrade_decisions", 0),
         "reclaims": overload_stats.get("reclaims", 0),
         "pressure_transitions": overload_stats.get("pressure_transitions", 0),
@@ -355,8 +345,6 @@ def default_args():
         "pressure_high_us": 150.0,
         "pressure_low_us": 40.0,
         "p99_budget_us": 400.0,
-        "burst_factor": 1.0,
-        "diurnal_amplitude": 0.0,
     }
 
 
@@ -368,8 +356,28 @@ def default_args():
 DEFAULT_RATES_KRPS = (30.0, 45.0, 55.0, 60.0)
 
 
+#: One line of ``--help`` per :func:`default_args` key; each key is a
+#: flag (``key_space`` -> ``--key-space``) typed like its default.
+OPTION_HELP = {
+    "cores": "server cores",
+    "sockets": "bounded socket pool size",
+    "clients": "logical client population",
+    "key_space": "Zipf key universe",
+    "value_size": "PUT value bytes",
+    "theta": "Zipf skew",
+    "read_fraction": "GET fraction of the op mix",
+    "churn": "per-arrival fresh-connection probability",
+    "seed": "arrival and op-mix seed",
+    "duration_us": "measured window per point, µs of sim time",
+    "warmup_us": "warmup before measuring",
+    "pool_slots": f"server rx pool slots (x{SLOT} bytes)",
+    "pressure_high_us": "queue-delay shed threshold",
+    "pressure_low_us": "queue-delay relief threshold",
+    "p99_budget_us": "bounded-tail oracle budget for admitted p99",
+}
+
+
 def build_parser():
-    defaults = default_args()
     parser = argparse.ArgumentParser(
         prog="repro-bench-soak",
         description="Open-loop saturation soak: sweep offered load past "
@@ -379,50 +387,9 @@ def build_parser():
     parser.add_argument("--rates", default=None,
                         help="comma-separated offered loads in krps "
                              f"(default: {','.join(str(r) for r in DEFAULT_RATES_KRPS)})")
-    parser.add_argument("--duration-us", type=float,
-                        default=defaults["duration_us"],
-                        help="measured window per point, µs of sim time")
-    parser.add_argument("--warmup-us", type=float,
-                        default=defaults["warmup_us"],
-                        help="warmup before measuring")
-    parser.add_argument("--sockets", type=int, default=defaults["sockets"],
-                        help="bounded socket pool size")
-    parser.add_argument("--clients", type=int, default=defaults["clients"],
-                        help="logical client population")
-    parser.add_argument("--key-space", type=int,
-                        default=defaults["key_space"],
-                        help="Zipf key universe")
-    parser.add_argument("--theta", type=float, default=defaults["theta"],
-                        help="Zipf skew")
-    parser.add_argument("--churn", type=float, default=defaults["churn"],
-                        help="per-arrival fresh-connection probability")
-    parser.add_argument("--value-size", type=int,
-                        default=defaults["value_size"],
-                        help="PUT value bytes")
-    parser.add_argument("--read-fraction", type=float,
-                        default=defaults["read_fraction"],
-                        help="GET fraction of the op mix")
-    parser.add_argument("--cores", type=int, default=defaults["cores"],
-                        help="server cores")
-    parser.add_argument("--pool-slots", type=int,
-                        default=defaults["pool_slots"],
-                        help="server rx pool slots (x2048 bytes)")
-    parser.add_argument("--seed", type=int, default=defaults["seed"])
-    parser.add_argument("--burst-factor", type=float,
-                        default=defaults["burst_factor"],
-                        help="square-wave burst multiplier (1 = off)")
-    parser.add_argument("--diurnal-amplitude", type=float,
-                        default=defaults["diurnal_amplitude"],
-                        help="sinusoidal swing amplitude (0 = off)")
-    parser.add_argument("--p99-budget-us", type=float,
-                        default=defaults["p99_budget_us"],
-                        help="bounded-tail oracle budget for admitted p99")
-    parser.add_argument("--pressure-high-us", type=float,
-                        default=defaults["pressure_high_us"],
-                        help="queue-delay shed threshold")
-    parser.add_argument("--pressure-low-us", type=float,
-                        default=defaults["pressure_low_us"],
-                        help="queue-delay relief threshold")
+    for key, default in default_args().items():
+        parser.add_argument("--" + key.replace("_", "-"), type=type(default),
+                            default=default, help=OPTION_HELP[key])
     parser.add_argument("--no-containment", action="store_true",
                         help="drop the overload controller (negative "
                              "control; oracles should trip)")
@@ -440,20 +407,7 @@ def main(argv=None):
     rates_krps = DEFAULT_RATES_KRPS if cli.rates is None else tuple(
         float(r) for r in cli.rates.split(",")
     )
-    args = default_args()
-    args.update({
-        "cores": cli.cores, "sockets": cli.sockets, "clients": cli.clients,
-        "key_space": cli.key_space, "value_size": cli.value_size,
-        "theta": cli.theta, "read_fraction": cli.read_fraction,
-        "churn": cli.churn, "seed": cli.seed,
-        "duration_us": cli.duration_us, "warmup_us": cli.warmup_us,
-        "pool_slots": cli.pool_slots,
-        "pressure_high_us": cli.pressure_high_us,
-        "pressure_low_us": cli.pressure_low_us,
-        "p99_budget_us": cli.p99_budget_us,
-        "burst_factor": cli.burst_factor,
-        "diurnal_amplitude": cli.diurnal_amplitude,
-    })
+    args = {key: getattr(cli, key) for key in default_args()}
     report = run_soak(
         [r * 1e3 for r in rates_krps], args,
         containment=not cli.no_containment,

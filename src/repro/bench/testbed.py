@@ -69,22 +69,9 @@ class Testbed:
         return self.recorder.registry if self.recorder is not None else None
 
 
-#: Pre-config keywords make_testbed once accepted, mapped to the
-#: ServerConfig field that replaced each (for the migration error).
-_RETIRED_KWARGS = {
-    "engine": "engine",
-    "transport": "transport",
-    "server_cores": "cores",
-    "memtable_arena": "memtable_arena",
-    "engine_kwargs": "engine_kwargs",
-    "kv_kwargs": "zero_copy_get/contain_errors/overload",
-}
-
-
 def make_testbed(config=None, *, server_features=None, client_features=None,
                  fabric_kwargs=None, pm_bytes=PM_BYTES, paste=True,
-                 pm_device=None, paste_pool_bytes=PASTE_POOL_BYTES,
-                 **retired):
+                 pm_device=None, paste_pool_bytes=PASTE_POOL_BYTES):
     """Build the two-host testbed from a :class:`ServerConfig`.
 
     ``config`` is the one knob for everything server-shaped —
@@ -92,27 +79,7 @@ def make_testbed(config=None, *, server_features=None, client_features=None,
     reaper, metrics, capture.  The remaining keywords cover the *world*
     around the server: NIC features, fabric parameters, PM
     device/sizing, whether the rx pool lives in PM (``paste``).
-
-    The pre-config keywords (``engine=``, ``transport=``,
-    ``server_cores=``, ``memtable_arena=``, ``engine_kwargs=``,
-    ``kv_kwargs=``) are retired; passing one raises with the
-    ServerConfig field that replaced it.
     """
-    if retired:
-        hints = ", ".join(
-            f"{kw}= -> ServerConfig({_RETIRED_KWARGS[kw]}=...)"
-            for kw in sorted(retired) if kw in _RETIRED_KWARGS
-        )
-        unknown = sorted(kw for kw in retired if kw not in _RETIRED_KWARGS)
-        if unknown:
-            raise TypeError(
-                f"make_testbed() got unexpected keyword(s) {unknown}"
-            )
-        raise TypeError(
-            f"make_testbed() no longer takes {sorted(retired)}; build a "
-            f"ServerConfig and pass it as config= instead: {hints} — e.g. "
-            f"make_testbed(config=ServerConfig(engine='pktstore'))"
-        )
     config = config or ServerConfig()
     config.validate()
 

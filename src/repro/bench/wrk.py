@@ -631,9 +631,6 @@ class OpenLoopWrkClient(WrkClient):
     def open_sockets(self):
         return len(self._conns)
 
-    def current_rate_rps(self):
-        return self.source.rate_at(self.host.sim.now)
-
     # -- lifecycle ------------------------------------------------------------
 
     def start(self):

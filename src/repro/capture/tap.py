@@ -21,7 +21,8 @@ from repro.capture.format import Capture, FrameRecord
 
 
 class CaptureTap:
-    """Attachable frame recorder; see :meth:`repro.net.fabric.Fabric.add_tap`.
+    """Frame recorder on ``fabric``'s delivery path; see
+    :meth:`repro.net.fabric.Fabric.add_tap`.
 
     ``focus_ip`` (optional) records only frames to or from one address
     — a single server's view of the world — keeping ring memory
@@ -45,22 +46,7 @@ class CaptureTap:
         self.seen_bytes = 0
         self.dropped_frames = 0
         self.dropped_bytes = 0
-        self._attached = False
-        self.attach()
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def attach(self):
-        if not self._attached:
-            self.fabric.add_tap(self._on_frame)
-            self._attached = True
-        return self
-
-    def detach(self):
-        if self._attached:
-            self.fabric.remove_tap(self._on_frame)
-            self._attached = False
-        return self
+        fabric.add_tap(self._on_frame)
 
     # -- recording -------------------------------------------------------------
 

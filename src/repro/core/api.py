@@ -14,8 +14,8 @@ which accepts an mbuf chain.
   buffer forever — that is how a storage stack adopts payload.
 - :meth:`psend` — transmit ``(buffer, offset, length)`` references;
   the payload is attached as frag pages and never copied.
-- :meth:`psend_record` / :meth:`psend_file` — convenience: transmit a
-  packet store record or a PktFS file straight from persistent memory.
+- :meth:`psend_record` — convenience: transmit a packet store record
+  straight from persistent memory.
 """
 
 from repro.sim.context import NULL_CONTEXT
@@ -82,10 +82,6 @@ class PacketIO:
             for buf_slot, offset, length in frags
         ]
         return self.psend(refs, ctx)
-
-    def psend_file(self, fs, name, ctx=NULL_CONTEXT):
-        """Transmit a PktFS file straight from its extents."""
-        return self.psend(fs.extent_refs(name), ctx)
 
     def close(self, ctx=NULL_CONTEXT):
         self.socket.close(ctx)

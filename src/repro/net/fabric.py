@@ -119,9 +119,6 @@ class Fabric:
         self._taps.append(tap)
         return tap
 
-    def remove_tap(self, tap):
-        self._taps.remove(tap)
-
     def transmit(self, src_nic, dst_ip, frame):
         """Carry ``frame`` from ``src_nic`` to the NIC owning ``dst_ip``."""
         self.frames += 1

@@ -40,9 +40,6 @@ class PressureSignal:
         self._pressure_listeners.append(callback)
         return callback
 
-    def remove_pressure_listener(self, callback):
-        self._pressure_listeners.remove(callback)
-
     def observe(self, level):
         """Take the current level; flips the flag on a watermark crossing."""
         if not self.under_pressure:

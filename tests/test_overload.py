@@ -133,9 +133,6 @@ class _FakeSource:
         self._listeners.append(callback)
         return callback
 
-    def remove_pressure_listener(self, callback):
-        self._listeners.remove(callback)
-
     def set(self, pressured):
         if pressured != self.under_pressure:
             self.under_pressure = pressured

@@ -111,9 +111,9 @@ class TestServe:
 
 
 class TestRetiredKwargs:
-    """The pre-config keywords are gone: the error must say which
-    ServerConfig field replaced each, so old call sites migrate from
-    the traceback alone."""
+    """The pre-config keywords are gone: the ServerConfig is the one
+    server-shaped argument, and any other keyword is Python's own
+    TypeError."""
 
     def test_config_positionally(self):
         testbed = make_testbed(ServerConfig(engine="null", cores=2))
@@ -125,18 +125,6 @@ class TestRetiredKwargs:
         testbed = make_testbed()
         assert testbed.config.engine == "novelsm"
         assert testbed.config.cores == 1
-
-    def test_retired_engine_kwarg_names_replacement(self):
-        with pytest.raises(TypeError, match=r"ServerConfig\(engine=\.\.\.\)"):
-            make_testbed(engine="null")
-
-    def test_retired_server_cores_kwarg_names_replacement(self):
-        with pytest.raises(TypeError, match=r"ServerConfig\(cores=\.\.\.\)"):
-            make_testbed(server_cores=2)
-
-    def test_retired_kv_kwargs_names_replacement(self):
-        with pytest.raises(TypeError, match="zero_copy_get"):
-            make_testbed(kv_kwargs={"zero_copy_get": True})
 
     def test_unknown_kwarg_still_plain_typeerror(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
