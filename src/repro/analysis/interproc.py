@@ -59,7 +59,7 @@ import hashlib
 import json
 import os
 
-from repro.analysis.pmlint import arg_names, dotted_name
+from repro.analysis.pmlint import arg_names, dotted_name, is_io_receiver
 
 #: Method names that are persistence primitives when called on a
 #: region/device-like receiver.  ``sync`` is the block-device layer's
@@ -75,9 +75,6 @@ PRIMITIVE_FORWARDERS = frozenset({
     "flush", "fence", "persist", "sync", "persist_payload",
     "write", "writeback", "write_bytes",
 })
-
-#: Receivers whose .flush() has nothing to do with persistent memory.
-_IO_RECEIVERS = ("stdout", "stderr", "stream", "sock", "file")
 
 #: Acquisition method names.  ``get``/``clone`` count only with zero
 #: arguments on a buffer-shaped receiver (dict.get takes arguments).
@@ -101,12 +98,6 @@ _ESCAPE_METHODS = frozenset({
     "append", "add", "push", "extend", "appendleft", "insert",
     "setdefault", "update",
 })
-
-
-def _is_io_receiver(receiver):
-    return receiver is not None and any(
-        receiver.endswith(name) for name in _IO_RECEIVERS
-    )
 
 
 def _buffer_like(receiver):
@@ -460,7 +451,7 @@ def extract_local_facts(func_node):
         elif name in _FENCE_NAMES or name in _DRAIN_NAMES:
             if not guard_skipped(call.lineno):
                 facts.events.append(_Event("fence", call.lineno, shown))
-        elif name in _FLUSH_NAMES and not _is_io_receiver(receiver):
+        elif name in _FLUSH_NAMES and not is_io_receiver(receiver):
             facts.events.append(_Event("flush", call.lineno, f"{shown}(...)"))
         else:
             facts.events.append(_Event(

@@ -165,6 +165,16 @@ def method_calls(node):
     return calls
 
 
+#: Receivers whose .flush() has nothing to do with persistent memory.
+IO_RECEIVERS = ("stdout", "stderr", "stream", "sock", "file")
+
+
+def is_io_receiver(receiver):
+    return receiver is not None and any(
+        receiver.endswith(name) for name in IO_RECEIVERS
+    )
+
+
 def arg_names(func_node):
     args = func_node.args
     names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]

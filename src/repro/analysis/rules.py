@@ -17,7 +17,9 @@ Where a function is correct for a non-local reason, the suppression
 comment records that reason in place.
 """
 
-from repro.analysis.pmlint import Rule, arg_names, method_calls, register
+from repro.analysis.pmlint import (
+    Rule, arg_names, is_io_receiver, method_calls, register,
+)
 
 #: Function names that merely forward persistence calls down a layer
 #: (Region.flush -> device.flush, ...).  Their bodies are the mechanism
@@ -25,16 +27,6 @@ from repro.analysis.pmlint import Rule, arg_names, method_calls, register
 FORWARDER_NAMES = frozenset({
     "flush", "fence", "persist", "write", "writeback", "write_bytes",
 })
-
-#: Receivers whose .flush() has nothing to do with persistent memory.
-_IO_RECEIVERS = ("stdout", "stderr", "stream", "sock", "file")
-
-
-def _is_io_receiver(receiver):
-    return receiver is not None and any(
-        receiver.endswith(name) for name in _IO_RECEIVERS
-    )
-
 
 def _defers_to_caller(func_node):
     """True when the function takes a fence/persist decision parameter.
@@ -65,7 +57,7 @@ def _persistence_events(func_node):
         elif name == "sync":
             # Block-device durability: sync() is the fence of that layer.
             events.append(("persist", call))
-        elif name == "flush" and not _is_io_receiver(receiver):
+        elif name == "flush" and not is_io_receiver(receiver):
             events.append(("flush", call))
     return events
 
@@ -213,7 +205,7 @@ class UnchargedPersistence(Rule):
                 continue
             for call, name, receiver in method_calls(func):
                 slot = self._CTX_SLOT.get(name)
-                if slot is None or _is_io_receiver(receiver):
+                if slot is None or is_io_receiver(receiver):
                     continue
                 if receiver is not None and "tracker" in receiver:
                     continue  # cache-layer internals charge via the device
