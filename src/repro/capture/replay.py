@@ -53,7 +53,7 @@ from repro.net.headers import (
     TCPHeader,
     ip_to_int,
 )
-from repro.net.nic import NicFeatures
+from repro.net.nic import NicFeatures, l4_csum_info
 from repro.net.stack import Host
 from repro.pm.device import PMDevice
 from repro.pm.namespace import PMNamespace
@@ -361,15 +361,6 @@ def _digest_of_mapping(mapping):
 # -- capture -> operations (replay as a workload) ------------------------------
 
 
-def _tcp_payload(frame, ip_header, offset):
-    """The TCP payload bytes of one frame (respecting total_len)."""
-    tcp_raw = frame[offset:offset + TCP_HEADER_LEN]
-    tcp = TCPHeader.unpack(tcp_raw)
-    payload_len = ip_header.total_len - IPV4_HEADER_LEN - TCP_HEADER_LEN
-    start = offset + TCP_HEADER_LEN
-    return tcp, frame[start:start + max(0, payload_len)]
-
-
 def _parse_http_requests(stream):
     """Scan a reassembled request byte stream into (method, key, value).
 
@@ -412,12 +403,11 @@ class _TcpFlowAssembler:
     """Reassemble one TCP flow's request stream from delivered frames.
 
     Duplicates (fault-injected or retransmitted) are dropped by
-    sequence number; out-of-order segments wait in a reorder map until
-    the stream catches up.  Corrupted frames were delivered corrupted —
-    the live server dropped them on checksum, so the assembler drops
-    any segment whose bytes disagree with an already-seen copy and
-    otherwise trusts first-arrival (retransmits carry the clean copy
-    later; the scanner's leftover handling absorbs the rare torn head).
+    sequence number: the first copy of a byte range to arrive is kept
+    and later copies are ignored.  Out-of-order segments wait in a
+    reorder map until the stream catches up.  The assembler trusts
+    every segment it is fed; :func:`extract_ops` has already dropped
+    the frames that failed their checksums, as the live server did.
     """
 
     def __init__(self):
@@ -517,20 +507,22 @@ def extract_ops(capture, server_ip=None, port=None):
         if record.dst_ip not in server_ips:
             continue
         frame = record.frame
-        if len(frame) < ETH_HEADER_LEN + IPV4_HEADER_LEN:
-            continue
         try:
             ip_header = IPv4Header.unpack(frame[ETH_HEADER_LEN:])
+            l4_csum = l4_csum_info(frame)
         except ValueError:
             continue
+        if l4_csum is None or l4_csum[1] != l4_csum[2] or \
+                not ip_header.verify_checksum(frame[ETH_HEADER_LEN:]):
+            continue  # corrupted on the wire: the live server dropped it
         offset = ETH_HEADER_LEN + IPV4_HEADER_LEN
+        end = ETH_HEADER_LEN + ip_header.total_len
         if ip_header.proto == IPPROTO_TCP:
-            if len(frame) < offset + TCP_HEADER_LEN:
-                continue
             try:
-                tcp, payload = _tcp_payload(frame, ip_header, offset)
+                tcp = TCPHeader.unpack(frame[offset:end])
             except ValueError:
                 continue
+            payload = frame[offset + TCP_HEADER_LEN:end]
             if tcp.dst_port != port:
                 continue
             flow_key = (record.src_ip, tcp.src_port)

@@ -34,7 +34,6 @@ everything unreachable.  Acked writes always survive; in-flight writes
 vanish atomically.
 """
 
-import struct
 from operator import attrgetter
 
 from repro.core.ppktbuf import (
@@ -52,8 +51,8 @@ from repro.core.ppktbuf import (
     SlabExhausted,
 )
 from repro.core.recovery import RecoveryReport
-from repro.net.nic import _l4_checksum_of_frame
-from repro.net.headers import ETH_HEADER_LEN, IPV4_HEADER_LEN, IPv4Header
+from repro.net.headers import ETH_HEADER_LEN, IPV4_HEADER_LEN
+from repro.net.nic import frame_length, l4_csum_info
 from repro.sim.context import NULL_CONTEXT, ExecutionContext
 from repro.storage.skiplist import (
     MAX_SEQ,
@@ -407,12 +406,12 @@ class PacketStore(PersistentSkipList):
     # -------------------------------------------------------------- integrity
 
     def verify_slot(self, node_slot, ctx=NULL_CONTEXT):
-        """Verify stored data via the packets' own TCP checksums.
+        """Verify stored data via the packets' own wire checksums.
 
         The stored object is the frame the NIC received, checksum
-        included — so integrity checking is recomputing the TCP
-        checksum over each referenced frame and comparing it with the
-        one embedded in that frame.  No separate stored CRC needed:
+        included — so integrity checking is recomputing the L4 (TCP or
+        Homa) checksum over each referenced frame and comparing it with
+        the one embedded in that frame.  No separate stored CRC needed:
         this is §4.2's reuse of the wire checksum.
         """
         record = self.slab.read_record(node_slot)
@@ -422,16 +421,13 @@ class PacketStore(PersistentSkipList):
                 continue
             checked.add(buf_slot)
             base = self.pool.slot_region_base(buf_slot)
-            head = self.pool.region.read(base, ETH_HEADER_LEN + IPV4_HEADER_LEN)
-            ip = IPv4Header.unpack(head[ETH_HEADER_LEN:])
-            frame_len = ETH_HEADER_LEN + ip.total_len
-            frame = self.pool.region.read(base, frame_len)
-            (stored,) = struct.unpack_from(
-                "!H", frame, ETH_HEADER_LEN + IPV4_HEADER_LEN + 16
-            )
+            size = frame_length(
+                self.pool.region.read(base, ETH_HEADER_LEN + IPV4_HEADER_LEN))
+            frame = self.pool.region.read(base, size)
             # Charge the CRC-equivalent cost only when actively verifying.
-            ctx.charge(frame_len * 1.1, "integrity.verify")
-            if _l4_checksum_of_frame(frame) != stored:
+            ctx.charge(size * 1.1, "integrity.verify")
+            info = l4_csum_info(frame)
+            if info is None or info[1] != info[2]:
                 raise IOError(
                     f"frame in buffer slot {buf_slot} failed its wire checksum"
                 )

@@ -103,31 +103,16 @@ class IPv4Header:
         self.ttl = ttl
         self.ident = ident
 
-    #: (src, dst, proto, total_len, ttl, ident) -> packed bytes.  A
-    #: steady-state connection re-emits headers differing only in
-    #: total_len/ident, so the working set is tiny; bounded + cleared
-    #: wholesale to stay a cache, not a leak.
-    _pack_memo = {}
-
     def pack(self):
-        key = (self.src, self.dst, self.proto, self.total_len, self.ttl,
-               self.ident)
-        memo = IPv4Header._pack_memo
-        packed = memo.get(key)
-        if packed is None:
-            header = bytearray(
-                self._fmt.pack(
-                    0x45, 0, self.total_len, self.ident, 0, self.ttl,
-                    self.proto, 0, self.src, self.dst,
-                )
+        header = bytearray(
+            self._fmt.pack(
+                0x45, 0, self.total_len, self.ident, 0, self.ttl,
+                self.proto, 0, self.src, self.dst,
             )
-            csum = checksum_finish(checksum_partial(header))
-            struct.pack_into("!H", header, 10, csum)
-            packed = bytes(header)
-            if len(memo) >= 4096:
-                memo.clear()
-            memo[key] = packed
-        return packed
+        )
+        struct.pack_into("!H", header, 10,
+                         checksum_finish(checksum_partial(header)))
+        return bytes(header)
 
     @classmethod
     def unpack(cls, data):
@@ -212,7 +197,13 @@ class TCPHeader:
         return header
 
     def compute_checksum(self, ip_header, payload):
-        """TCP checksum over pseudo-header + header + payload."""
+        """TCP checksum over pseudo-header + header + payload.
+
+        The stack computes and verifies L4 checksums with
+        :func:`repro.net.nic.l4_csum_info`; this and
+        :meth:`verify_checksum` are the independent reference the tests
+        check that reader against.
+        """
         self.checksum = 0
         partial = ip_header.pseudo_header_sum(TCP_HEADER_LEN + len(payload))
         partial = checksum_partial(self.pack(), partial)

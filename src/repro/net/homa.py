@@ -33,15 +33,9 @@ unscheduled window instead of per-peer RTT estimation.
 
 import struct
 
-from repro.net.headers import (
-    ETH_HEADER_LEN,
-    IPV4_HEADER_LEN,
-    IPv4Header,
-    ip_to_int,
-)
+from repro.net.headers import ETH_HEADER_LEN, IPV4_HEADER_LEN, ip_to_int
 from repro.net.pktbuf import PktBuf
 from repro.net.pool import PoolExhausted
-from repro.net.stack import _eth_header_bytes
 from repro.net.tcp import RxSegment
 from repro.sim.units import MILLIS
 
@@ -402,16 +396,9 @@ class HomaTransport:
             pkt.append(payload)
             self.costs.charge_copy_to_skb(ctx, len(payload))
         ctx.charge(self.costs.tcp_tx * HOMA_COST_SCALE, "net.homa")
-        pkt.push(header.pack())
-        ip_header = IPv4Header(
-            self.host.ip, dst_ip, IPPROTO_HOMA,
-            total_len=IPV4_HEADER_LEN + HOMA_HEADER_LEN + len(payload),
-        )
-        pkt.push(ip_header.pack())
-        self.costs.charge_ip_tx(ctx)
-        pkt.push(_eth_header_bytes(self.host.ip, dst_ip))
-        self.costs.charge_driver_tx(ctx)
-        self._pending_tx.append((pkt, ip_header.dst))
+        self.host.stack.frame_output(pkt, header.pack(), IPPROTO_HOMA,
+                                     self.host.ip, dst_ip, ctx)
+        self._pending_tx.append((pkt, dst_ip))
         return pkt
 
     def drain_tx(self):
@@ -447,23 +434,15 @@ class HomaTransport:
     # -- receive side ---------------------------------------------------------------
 
     def rx(self, pkt, ctx):
-        self.costs.charge_driver_rx(ctx)
-        if pkt.data_len < ETH_HEADER_LEN + IPV4_HEADER_LEN + HOMA_HEADER_LEN:
-            pkt.release()
+        verdict = self.host.stack.ip_input(pkt, ctx, IPPROTO_HOMA,
+                                           HOMA_HEADER_LEN)
+        if verdict is None:
             return
-        pkt.pull(ETH_HEADER_LEN)
-        self.costs.charge_ip_rx(ctx)
-        raw_ip = pkt.payload_slice(0, IPV4_HEADER_LEN)
-        ip_header = IPv4Header.unpack(raw_ip)
-        if ip_header.proto != IPPROTO_HOMA or not ip_header.verify_checksum(raw_ip):
-            pkt.release()
-            return
-        if pkt.data_len > ip_header.total_len:
-            pkt.trim(ip_header.total_len)
-        pkt.pull(IPV4_HEADER_LEN)
-        # Integrity: the NIC offload verified the Homa checksum exactly
-        # as it does TCP's; corrupted frames die here.
-        if pkt.wire_csum is not None and not pkt.csum_verified:
+        ip_header, csum_ok = verdict
+        # Integrity: verified exactly as TCP's checksum is (the NIC
+        # offload, or the stack's software fallback); corrupted frames
+        # die here.
+        if not csum_ok:
             self.stats["bad_csum"] += 1
             pkt.release()
             return
@@ -576,12 +555,19 @@ class HomaTransport:
         message = self._out.get(header.rpc_id)
         if message is None or message.acked:
             return
-        end = min(header.offset + max(header.msg_len, 1), message.sent)
+        asked_end = header.offset + max(header.msg_len, 1)
+        end = min(asked_end, message.sent)
         offset = header.offset
         while offset < end:
             take = min(HOMA_MSS, end - offset)
             self._send_data(message, offset, take, ctx, retransmit=True)
             offset += take
+        if asked_end > message.granted:
+            # A RESEND for bytes never sent also grants them, as in
+            # Homa: after a lost GRANT, each end would otherwise wait
+            # for the other until both give up.
+            message.granted = min(asked_end, len(message.data))
+            self._pump(message, ctx)
 
     def _rx_ack(self, header):
         message = self._out.pop(header.rpc_id, None)

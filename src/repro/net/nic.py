@@ -15,6 +15,14 @@
 Received frames are DMA'd into buffers from the NIC's rx pool.  When
 the pool lives in persistent memory, this *is* PASTE: payload lands in
 PM before software ever runs, so persistence needs only a flush.
+
+This module also owns the frame layout every other module goes
+through: :func:`frame_headers` builds the Ethernet + IPv4 headers of
+each transmitted frame (TCP, its RSTs, Homa, TSO pieces), and
+:func:`l4_csum_info` is the one reader of the L4 checksum of TCP and
+Homa frames — used by the offloads here, the stack's software
+fallback, :meth:`~repro.core.pktstore.PacketStore.verify_slot` and
+capture replay alike.
 """
 
 import struct
@@ -22,9 +30,11 @@ import struct
 from repro.net.checksum import checksum_finish, checksum_partial
 from repro.net.headers import (
     ETH_HEADER_LEN,
+    ETHERTYPE_IPV4,
     IPV4_HEADER_LEN,
     IPPROTO_TCP,
     TCP_HEADER_LEN,
+    EthernetHeader,
     IPv4Header,
 )
 from repro.net.pktbuf import PktBuf
@@ -67,14 +77,14 @@ _IP_TOTAL_LEN_OFF = ETH_HEADER_LEN + 2
 _IP_SRC_OFF = ETH_HEADER_LEN + 12
 
 
-def _l4_csum_info(frame):
+def l4_csum_info(frame):
     """(field_frame_offset, stored_value, computed_value) for a frame.
 
     One pass over the headers for both the stored checksum field and
     the checksum the frame *should* carry (its field zeroed) — the tx
-    and rx offload paths each need both.  Returns None for protocols
-    the offload does not know; raises ValueError on malformed headers
-    (like the header codecs would).
+    and rx paths each need both.  Returns None for protocols other
+    than TCP and Homa; raises ValueError on malformed headers (like
+    the header codecs would).
     """
     if len(frame) < ETH_HEADER_LEN + IPV4_HEADER_LEN:
         raise ValueError("truncated IPv4 header")
@@ -89,6 +99,8 @@ def _l4_csum_info(frame):
     l4_len = total_len - IPV4_HEADER_LEN
     l4_start = ETH_HEADER_LEN + IPV4_HEADER_LEN
     position = l4_start + csum_off
+    if len(frame) < position + 2:
+        raise ValueError("truncated L4 header")
     (stored,) = _U16.unpack_from(frame, position)
     pseudo = ((src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
               + proto + l4_len)
@@ -99,20 +111,37 @@ def _l4_csum_info(frame):
     return position, stored, checksum_finish(partial - stored)
 
 
-def _l4_checksum_of_frame(frame):
-    """Compute the L4 checksum a frame *should* carry (its field zeroed).
-
-    Supports every protocol the NIC offload knows (TCP and the
-    Homa-like transport); returns None for anything else.
-    """
-    info = _l4_csum_info(frame)
-    return info[2] if info is not None else None
+def frame_length(head):
+    """Wire length of the frame whose Ethernet + IPv4 headers are ``head``."""
+    return ETH_HEADER_LEN + _U16.unpack_from(head, _IP_TOTAL_LEN_OFF)[0]
 
 
-def _l4_csum_field(frame):
-    """(field_frame_offset, stored_value) of the L4 checksum, or None."""
-    info = _l4_csum_info(frame)
-    return (info[0], info[1]) if info is not None else None
+def _mac_for_ip(ip_int):
+    """Deterministic pseudo-MAC so Ethernet headers are well-formed."""
+    return bytes([0x02, 0x00]) + ip_int.to_bytes(4, "big")
+
+
+#: (src_ip, dst_ip, proto, l4_len) -> Ethernet + IPv4 header bytes.  A
+#: steady-state flow re-emits headers differing only in length, so the
+#: working set is tiny; bounded and cleared wholesale to stay a cache,
+#: not a leak.
+_HEADERS_MEMO = {}
+_HEADERS_MEMO_MAX = 4096
+
+
+def frame_headers(src_ip, dst_ip, proto, l4_len):
+    """Ethernet + IPv4 header bytes for ``l4_len`` bytes of ``proto``."""
+    key = (src_ip, dst_ip, proto, l4_len)
+    headers = _HEADERS_MEMO.get(key)
+    if headers is None:
+        if len(_HEADERS_MEMO) >= _HEADERS_MEMO_MAX:
+            _HEADERS_MEMO.clear()
+        eth = EthernetHeader(dst=_mac_for_ip(dst_ip), src=_mac_for_ip(src_ip),
+                             ethertype=ETHERTYPE_IPV4)
+        ip = IPv4Header(src_ip, dst_ip, proto,
+                        total_len=IPV4_HEADER_LEN + l4_len)
+        headers = _HEADERS_MEMO[key] = eth.pack() + ip.pack()
+    return headers
 
 
 class Nic:
@@ -162,14 +191,13 @@ class Nic:
                 )
             return self._tso_split(wire)
         if self.features.tx_csum_offload:
-            info = _l4_csum_info(wire)
+            info = l4_csum_info(wire)
             if info is not None:
-                struct.pack_into("!H", wire, info[0], info[2])
+                _U16.pack_into(wire, info[0], info[2])
         return [bytes(wire)]
 
     def _tso_split(self, wire):
         """Hardware segmentation: one jumbo segment -> MSS-sized frames."""
-        eth = bytes(wire[:ETH_HEADER_LEN])
         ip = IPv4Header.unpack(wire[ETH_HEADER_LEN:])
         tcp_raw = bytes(wire[ETH_HEADER_LEN + IPV4_HEADER_LEN:HEADERS_LEN])
         payload = bytes(wire[HEADERS_LEN:])
@@ -183,14 +211,13 @@ class Nic:
             last = offset + len(chunk) >= len(payload)
             if not last:
                 tcp[13] &= ~0x01  # FIN only on the final frame
-            ip_hdr = IPv4Header(
-                ip.src, ip.dst, ip.proto,
-                total_len=IPV4_HEADER_LEN + TCP_HEADER_LEN + len(chunk),
-                ttl=ip.ttl, ident=ip.ident,
+            frame = bytearray(
+                frame_headers(ip.src, ip.dst, ip.proto,
+                              TCP_HEADER_LEN + len(chunk))
+                + tcp + chunk
             )
-            frame = bytearray(eth + ip_hdr.pack() + bytes(tcp) + chunk)
-            csum = _l4_checksum_of_frame(bytes(frame))
-            struct.pack_into("!H", frame, ETH_HEADER_LEN + IPV4_HEADER_LEN + 16, csum)
+            position, _stored, csum = l4_csum_info(frame)
+            _U16.pack_into(frame, position, csum)
             frames.append(bytes(frame))
             offset += len(chunk)
             self.stats["tso_splits"] += 1
@@ -213,7 +240,7 @@ class Nic:
             pkt.hw_tstamp = self.host.sim.now
         if self.features.rx_csum_offload and len(frame) >= HEADERS_LEN:
             try:
-                info = _l4_csum_info(frame)
+                info = l4_csum_info(frame)
             except ValueError:
                 info = None  # malformed headers: the stack drops the frame
             if info is not None:

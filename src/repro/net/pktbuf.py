@@ -52,7 +52,7 @@ class PktBuf:
         "refcount",
         "tstamp", "hw_tstamp",
         "l2_off", "l3_off", "l4_off",
-        "eth", "ip", "tcp",
+        "ip", "tcp",
         "csum_verified", "wire_csum",
         "freed",
     )
@@ -71,12 +71,12 @@ class PktBuf:
         self.l3_off = None
         self.l4_off = None
         # Parsed header attachments (set by the stack's rx path).
-        self.eth = None
         self.ip = None
         self.tcp = None
-        #: True when the NIC verified the TCP checksum in hardware.
+        #: True when the NIC verified the L4 (TCP or Homa) checksum in
+        #: hardware.
         self.csum_verified = False
-        #: The raw TCP checksum carried on the wire (reusable as a
+        #: The raw L4 checksum carried on the wire (reusable as a
         #: storage integrity checksum, §4.2).
         self.wire_csum = None
         self.freed = False
@@ -193,7 +193,6 @@ class PktBuf:
         copy.l2_off = self.l2_off
         copy.l3_off = self.l3_off
         copy.l4_off = self.l4_off
-        copy.eth = self.eth
         copy.ip = self.ip
         copy.tcp = self.tcp
         copy.csum_verified = self.csum_verified

@@ -15,6 +15,8 @@ into PM, and the application can take ownership of packet buffers
 them with a flush — no copy.  A DRAM rx pool gives the classic stack.
 """
 
+import struct
+
 from repro.net.headers import (
     ACK,
     ETH_HEADER_LEN,
@@ -24,45 +26,26 @@ from repro.net.headers import (
     RST,
     SYN,
     TCP_HEADER_LEN,
-    EthernetHeader,
     IPv4Header,
     TCPHeader,
     ip_to_int,
 )
+from repro.net.homa import IPPROTO_HOMA, HomaTransport
+from repro.net.nic import Nic, frame_headers, l4_csum_info
+from repro.net.pktbuf import PktBuf
+from repro.net.pool import BufferPool, PoolExhausted
 from repro.net.tcp import TcpConnection, TcpState
 from repro.pm.device import DRAMDevice
-from repro.net.pool import BufferPool
 from repro.sim import ExecutionContext
+from repro.sim.context import NULL_CONTEXT
 from repro.sim.cpu import CpuSet
-
-
-def _mac_for_ip(ip_int):
-    """Deterministic pseudo-MAC so Ethernet headers are well-formed."""
-    return bytes([0x02, 0x00]) + ip_int.to_bytes(4, "big")
-
 
 #: Wire bytes of the IPv4 ethertype, for the rx fast-path peek.
 _ETHERTYPE_IPV4_BYTES = ETHERTYPE_IPV4.to_bytes(2, "big")
 
-#: (local_ip, remote_ip) -> packed Ethernet header bytes.  The MAC
-#: derivation is a pure function of the IPs, so tx frames reuse one
-#: immutable 14-byte header per peer pair instead of rebuilding it.
-_ETH_FRAME_CACHE = {}
-_ETH_FRAME_CACHE_MAX = 4096
-
-
-def _eth_header_bytes(local_ip, remote_ip):
-    key = (local_ip, remote_ip)
-    cached = _ETH_FRAME_CACHE.get(key)
-    if cached is None:
-        if len(_ETH_FRAME_CACHE) >= _ETH_FRAME_CACHE_MAX:
-            _ETH_FRAME_CACHE.clear()
-        cached = EthernetHeader(
-            dst=_mac_for_ip(remote_ip), src=_mac_for_ip(local_ip),
-            ethertype=ETHERTYPE_IPV4,
-        ).pack()
-        _ETH_FRAME_CACHE[key] = cached
-    return cached
+#: IPv4 source and destination address, then the TCP ports: the
+#: 4-tuple RSS steers on, 12 bytes into the IPv4 header.
+_RSS_TUPLE = struct.Struct("!IIHH")
 
 
 class Socket:
@@ -174,7 +157,7 @@ class NetworkStack:
         self._reaper_timer = None
         self.stats = {
             "rx_packets": 0, "rx_bad_csum": 0, "rx_no_socket": 0,
-            "rx_malformed": 0,
+            "rx_malformed": 0, "rx_bad_ip_csum": 0,
             "tx_packets": 0, "rst_sent": 0, "rst_dropped_nobuf": 0,
             "conns_reaped": 0, "tapped": 0,
         }
@@ -298,30 +281,32 @@ class NetworkStack:
 
     # -- transmit path ---------------------------------------------------------
 
-    def ip_output(self, conn, pkt, tcp_header, payload_len, ctx):
+    def ip_output(self, conn, pkt, tcp_header, ctx):
         """Add TCP/IP/Ethernet headers and queue the packet for the NIC."""
         self.costs.charge_tcp_tx(ctx)
-        nic = self.host.nic
-        ip_header = IPv4Header(
-            conn.local_ip, conn.remote_ip, IPPROTO_TCP,
-            total_len=IPV4_HEADER_LEN + TCP_HEADER_LEN + payload_len,
-        )
-        if nic.features.tx_csum_offload:
-            tcp_header.checksum = 0  # NIC fills it in on the wire
-        else:
-            payload = pkt.to_wire()
-            tcp_header.compute_checksum(ip_header, payload)
-            self.costs.charge_sw_checksum(ctx, TCP_HEADER_LEN + len(payload))
-        pkt.push(tcp_header.pack())
-        pkt.push(ip_header.pack())
-        self.costs.charge_ip_tx(ctx)
-        pkt.push(_eth_header_bytes(conn.local_ip, conn.remote_ip))
-        self.costs.charge_driver_tx(ctx)
+        self.frame_output(pkt, tcp_header.pack(), IPPROTO_TCP,
+                          conn.local_ip, conn.remote_ip, ctx)
         pkt.tstamp = self.sim.now
-        pkt.tcp = tcp_header
-        pkt.ip = ip_header
         self.stats["tx_packets"] += 1
         self._pending_tx.append((pkt, conn.remote_ip))
+
+    def frame_output(self, pkt, l4_header, proto, src_ip, dst_ip, ctx):
+        """Push ``l4_header``, then IPv4 and Ethernet, onto ``pkt``.
+
+        The one transmit framer: TCP segments, RSTs and Homa packets
+        all leave through it.  With tx checksum offload the NIC fills
+        the L4 checksum on the wire; without it the checksum is
+        written here, in software, and charged.
+        """
+        pkt.push(l4_header)
+        l4_len = pkt.total_len
+        pkt.push(frame_headers(src_ip, dst_ip, proto, l4_len))
+        if not self.host.nic.features.tx_csum_offload:
+            position, _stored, csum = l4_csum_info(pkt.to_wire())
+            pkt.buf.write(pkt.data_off + position, csum.to_bytes(2, "big"))
+            self.costs.charge_sw_checksum(ctx, l4_len)
+        self.costs.charge_ip_tx(ctx)
+        self.costs.charge_driver_tx(ctx)
 
     def drain_tx(self):
         """Take the packets produced during the current processing slice."""
@@ -331,19 +316,25 @@ class NetworkStack:
 
     # -- receive path -----------------------------------------------------------
 
-    def rx(self, pkt, ctx):
-        """Full receive processing of one frame (run-to-completion)."""
-        self.stats["rx_packets"] += 1
+    def ip_input(self, pkt, ctx, proto, l4_header_len):
+        """The receive front half TCP and Homa share.
+
+        Charges the driver and IP costs, then drops (and releases) a
+        frame that is too short, not IPv4, malformed, failing its IP
+        checksum or not carrying ``proto``.  A kept frame is trimmed of
+        Ethernet padding and pulled to its L4 header.  Returns
+        ``(ip_header, l4_ok)`` — ``l4_ok`` is the NIC's checksum
+        verdict, or a charged software verify when rx offload is off —
+        or None for a dropped frame.
+        """
         self.costs.charge_driver_rx(ctx)
-        if pkt.data_len < ETH_HEADER_LEN + IPV4_HEADER_LEN + TCP_HEADER_LEN:
-            pkt.release()
-            return
         # Peek just the 2-byte ethertype instead of materialising the
         # whole frame (linear_bytes reads every payload byte off the
         # device) to unpack a header whose only consulted field is this.
-        if pkt.payload_slice(ETH_HEADER_LEN - 2, 2) != _ETHERTYPE_IPV4_BYTES:
+        if pkt.data_len < ETH_HEADER_LEN + IPV4_HEADER_LEN + l4_header_len or \
+                pkt.payload_slice(ETH_HEADER_LEN - 2, 2) != _ETHERTYPE_IPV4_BYTES:
             pkt.release()
-            return
+            return None
         pkt.l2_off = pkt.data_off
         pkt.pull(ETH_HEADER_LEN)
         self.costs.charge_ip_rx(ctx)
@@ -355,15 +346,34 @@ class NetworkStack:
             # before it ever reaches checksum verification.
             self.stats["rx_malformed"] += 1
             pkt.release()
-            return
-        if not ip_header.verify_checksum(raw_ip) or ip_header.proto != IPPROTO_TCP:
+            return None
+        if not ip_header.verify_checksum(raw_ip):
+            self.stats["rx_bad_ip_csum"] += 1
             pkt.release()
-            return
+            return None
+        if ip_header.proto != proto:
+            pkt.release()
+            return None
         # Trim Ethernet padding before checksum/payload accounting.
         if pkt.data_len > ip_header.total_len:
             pkt.trim(ip_header.total_len)
         pkt.l3_off = pkt.data_off
         pkt.pull(IPV4_HEADER_LEN)
+        if pkt.csum_verified or (pkt.wire_csum is not None and
+                                 self.host.nic.features.rx_csum_offload):
+            return ip_header, pkt.csum_verified
+        self.costs.charge_sw_checksum(ctx, pkt.data_len)
+        frame = pkt.buf.read(pkt.l2_off, pkt.data_off + pkt.data_len - pkt.l2_off)
+        _position, stored, computed = l4_csum_info(frame)
+        return ip_header, stored == computed
+
+    def rx(self, pkt, ctx):
+        """Full receive processing of one frame (run-to-completion)."""
+        self.stats["rx_packets"] += 1
+        verdict = self.ip_input(pkt, ctx, IPPROTO_TCP, TCP_HEADER_LEN)
+        if verdict is None:
+            return
+        ip_header, csum_ok = verdict
         try:
             tcp_header = TCPHeader.unpack(pkt.payload_slice(0, TCP_HEADER_LEN))
         except ValueError:
@@ -371,18 +381,8 @@ class NetworkStack:
             self.stats["rx_malformed"] += 1
             pkt.release()
             return
-        # Integrity: hardware-verified if the NIC offload did it, software
-        # otherwise.  Bad checksums are dropped here, exactly like a real
-        # stack, and show up as retransmissions.
-        if pkt.csum_verified:
-            csum_ok = True
-        elif pkt.wire_csum is not None and not pkt.csum_verified and \
-                self.host.nic.features.rx_csum_offload:
-            csum_ok = False
-        else:
-            payload_all = pkt.linear_bytes()
-            csum_ok = tcp_header.verify_checksum(ip_header, payload_all[TCP_HEADER_LEN:])
-            self.costs.charge_sw_checksum(ctx, len(payload_all))
+        # Bad checksums are dropped here, exactly like a real stack, and
+        # show up as retransmissions.
         if not csum_ok:
             self.stats["rx_bad_csum"] += 1
             pkt.release()
@@ -412,7 +412,7 @@ class NetworkStack:
                 return
         self.stats["rx_no_socket"] += 1
         if not tcp_header.flags & RST:
-            self._send_rst(ip_header, tcp_header, payload_len, ctx)
+            self._send_rst(ip_header, tcp_header, payload_len)
         pkt.release()
 
     def _accept(self, pkt, ip_header, tcp_header, on_accept, ctx):
@@ -428,11 +428,8 @@ class NetworkStack:
         sock.on_established = lambda s, c: on_accept(s, c)
         conn.accept_syn(tcp_header, ctx)
 
-    def _send_rst(self, ip_header, tcp_header, payload_len, ctx):
+    def _send_rst(self, ip_header, tcp_header, payload_len):
         """Refuse a segment aimed at nothing (stateless RST)."""
-        from repro.net.pktbuf import PktBuf
-        from repro.net.pool import PoolExhausted
-
         try:
             pkt = PktBuf.alloc(self.tx_pool, headroom=self.tx_headroom)
         except PoolExhausted:
@@ -447,36 +444,25 @@ class NetworkStack:
             seq=tcp_header.ack, ack=tcp_header.seq + payload_len + 1,
             flags=RST | ACK, window=0,
         )
-        reply_ip = IPv4Header(
-            ip_header.dst, ip_header.src, IPPROTO_TCP,
-            total_len=IPV4_HEADER_LEN + TCP_HEADER_LEN,
-        )
-        if not self.host.nic.features.tx_csum_offload:
-            rst.compute_checksum(reply_ip, b"")
-        pkt.push(rst.pack())
-        pkt.push(reply_ip.pack())
-        eth = EthernetHeader(
-            dst=_mac_for_ip(ip_header.src), src=_mac_for_ip(ip_header.dst),
-        )
-        pkt.push(eth.pack())
+        # A stateless RST is modelled as free: it charges nothing.
+        self.frame_output(pkt, rst.pack(), IPPROTO_TCP, ip_header.dst,
+                          ip_header.src, NULL_CONTEXT)
         self._pending_tx.append((pkt, ip_header.src))
 
     def core_for_packet(self, pkt):
         """RSS: an existing connection's packets go to its core."""
-        if pkt.data_len < ETH_HEADER_LEN + IPV4_HEADER_LEN + TCP_HEADER_LEN:
-            return self.host.cpus[0]
-        raw = pkt.linear_bytes()
-        try:
-            ip_header = IPv4Header.unpack(raw[ETH_HEADER_LEN:])
-            tcp_header = TCPHeader.unpack(raw[ETH_HEADER_LEN + IPV4_HEADER_LEN:])
-        except ValueError:
-            # Malformed headers can't be steered; rx() will drop them.
-            return self.host.cpus[0]
-        key = (ip_header.dst, tcp_header.dst_port, ip_header.src, tcp_header.src_port)
-        conn = self._connections.get(key)
-        if conn is not None:
-            return conn.core
-        return self.host.cpus[0]
+        cpus = self.host.cpus
+        if len(cpus) == 1 or \
+                pkt.data_len < ETH_HEADER_LEN + IPV4_HEADER_LEN + TCP_HEADER_LEN:
+            return cpus[0]
+        raw = pkt.payload_slice(ETH_HEADER_LEN, IPV4_HEADER_LEN + 13)
+        # A malformed version or data-offset nibble can't be steered;
+        # rx() will drop the frame.
+        if raw[0] >> 4 != 4 or raw[IPV4_HEADER_LEN + 12] >> 4 < 5:
+            return cpus[0]
+        src, dst, src_port, dst_port = _RSS_TUPLE.unpack_from(raw, 12)
+        conn = self._connections.get((dst, dst_port, src, src_port))
+        return conn.core if conn is not None else cpus[0]
 
 
 class Host:
@@ -519,8 +505,6 @@ class Host:
                 slot_size, name=f"{name}.rxpool",
             )
 
-        from repro.net.nic import Nic
-
         self.nic = Nic(self, self.ip, self.rx_pool, features=nic_features)
         self.nic.attach(fabric)
         self.stack = NetworkStack(self, costs, self.tx_pool)
@@ -535,8 +519,6 @@ class Host:
     def enable_homa(self):
         """Attach the Homa-like transport alongside TCP (§5.2)."""
         if self.homa is None:
-            from repro.net.homa import HomaTransport
-
             self.homa = HomaTransport(self, self.costs, self.tx_pool)
             if self.recorder is not None:
                 # The observability layer was attached before the
@@ -550,7 +532,7 @@ class Host:
         """Demux by IP protocol: Homa packets bypass the TCP stack."""
         if self.homa is not None and pkt.data_len > ETH_HEADER_LEN + 9:
             proto = pkt.payload_slice(ETH_HEADER_LEN + 9, 1)[0]
-            if proto == 0xFD:
+            if proto == IPPROTO_HOMA:
                 return self.homa
         return self.stack
 

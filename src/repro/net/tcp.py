@@ -497,7 +497,7 @@ class TcpConnection:
             clone = pkt.clone()
             entry = _RtxEntry(seq, seqlen, flags, clone, self.stack.sim.now)
             self._rtx_insert(entry)
-        self.stack.ip_output(self, pkt, header, payload_len, ctx)
+        self.stack.ip_output(self, pkt, header, ctx)
 
     def _rtx_insert(self, entry):
         # Entries are emitted in sequence order except for retransmits,
@@ -573,13 +573,12 @@ class TcpConnection:
         # Retransmit a fresh clone of the stored clone: the payload bytes
         # are the very bytes transmitted originally (shared data refcount).
         pkt = entry.clone.clone()
-        payload_len = entry.length - (1 if entry.flags & (SYN | FIN) else 0)
         header = TCPHeader(
             self.local_port, self.remote_port,
             seq=entry.seq, ack=self.rcv_nxt,
             flags=entry.flags, window=self.rcv_wnd,
         )
-        self.stack.ip_output(self, pkt, header, payload_len, ctx)
+        self.stack.ip_output(self, pkt, header, ctx)
 
     # ------------------------------------------------------------------- input
 

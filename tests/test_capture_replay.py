@@ -12,6 +12,8 @@ The tentpole guarantees, end to end:
   reproduces the original operation stream and final store.
 """
 
+import random
+
 import pytest
 
 from repro.bench.testbed import make_testbed
@@ -23,8 +25,10 @@ from repro.capture.replay import (
     plant_drop,
     rebuild_standby,
     store_digest,
+    store_mapping,
     verify_rebuild,
 )
+from repro.net.fabric import LinkFaults
 from repro.storage.server import ServerConfig
 
 
@@ -168,3 +172,25 @@ class TestCaptureAsWorkload:
             drained.append(op)
         assert len(drained) == per_flow.total_ops
         assert drained == [op[1:] for op in extract_ops(capture)]
+
+
+class TestCorruptedCapture:
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_extraction_drops_frames_that_fail_their_checksum(self, seed):
+        """Corrupted frames are recorded as delivered; the live server
+        dropped them, so the extracted PUTs must too."""
+        testbed = make_testbed(
+            ServerConfig(capture=True),
+            fabric_kwargs={"faults": LinkFaults(random.Random(seed),
+                                                corrupt=0.05)})
+        wrk = WrkClient(testbed.client, testbed.server.ip, connections=1,
+                        value_size=256, key_space=50, duration_ns=3_000_000,
+                        warmup_ns=0)
+        wrk.start()
+        testbed.sim.run_until_idle()
+        assert testbed.fabric.faults.corrupted > 0
+        extracted = {}
+        for _loop, method, key, value in extract_ops(testbed.capture.capture()):
+            if method == "PUT":
+                extracted[key.encode()] = value
+        assert extracted == store_mapping(testbed.engine)

@@ -195,19 +195,25 @@ def test_property_crash_preserves_every_completed_put(seed, nputs):
     assert dict(store2.scan()) == completed
 
 
-class TestIntegrity:
-    def test_wire_checksum_verifies_stored_frames(self):
-        """End-to-end: store frames via the real stack, verify in place."""
-        from repro.bench.testbed import make_testbed
-        from repro.bench.wrk import WrkClient
+def _stored_over(transport):
+    """A pktstore server that took 0.4 ms of PUTs over ``transport``."""
+    from repro.bench.testbed import make_testbed
+    from repro.bench.wrk import HomaWrkClient, WrkClient
 
-        tb = make_testbed(ServerConfig(engine="pktstore"))
-        wrk = WrkClient(tb.client, "10.0.0.1", connections=1,
-                        duration_ns=500_000, warmup_ns=100_000)
-        wrk.run()
-        store = tb.engine.store
+    tb = make_testbed(ServerConfig(engine="pktstore", transport=transport))
+    client = HomaWrkClient if transport == "homa" else WrkClient
+    client(tb.client, "10.0.0.1", connections=1,
+           duration_ns=500_000, warmup_ns=100_000).run()
+    return tb
+
+
+class TestIntegrity:
+    @pytest.mark.parametrize("transport", ["tcp", "homa"])
+    def test_wire_checksum_verifies_stored_frames(self, transport):
+        """End-to-end: store frames via the real stack, verify in place."""
+        store = _stored_over(transport).engine.store
         assert store.count > 0
-        # Every stored record's frames pass their embedded TCP checksum.
+        # Every stored record's frames pass their embedded L4 checksum.
         cursor = store.slab.read_next(store.head_slot, 0)
         checked = 0
         while cursor:
@@ -215,16 +221,12 @@ class TestIntegrity:
             cursor = store.slab.read_next(cursor - 1, 0)
         assert checked > 0
 
-    def test_pm_corruption_detected_by_wire_checksum(self):
-        from repro.bench.testbed import make_testbed
-        from repro.bench.wrk import WrkClient
-
-        tb = make_testbed(ServerConfig(engine="pktstore"))
-        wrk = WrkClient(tb.client, "10.0.0.1", connections=1,
-                        duration_ns=500_000, warmup_ns=100_000)
-        wrk.run()
+    @pytest.mark.parametrize("transport", ["tcp", "homa"])
+    def test_pm_corruption_detected_by_wire_checksum(self, transport):
+        tb = _stored_over(transport)
         store = tb.engine.store
         first = store.slab.read_next(store.head_slot, 0) - 1
+        store.verify_slot(first)  # intact: the check below is the flip's
         record = store.slab.read_record(first)
         buf_slot, off, length = record.frags[0]
         # Silently corrupt one stored payload byte in PM (§4: storage

@@ -7,7 +7,7 @@ import pytest
 from repro.bench.costmodel import CostModel
 from repro.net.fabric import Fabric, Link, LinkFaults
 from repro.net.headers import IPv4Header, TCPHeader, ETH_HEADER_LEN, IPV4_HEADER_LEN
-from repro.net.nic import Nic, NicFeatures, _l4_checksum_of_frame, _l4_csum_field
+from repro.net.nic import Nic, NicFeatures, l4_csum_info
 from repro.net.stack import Host
 from repro.sim.engine import Simulator
 
@@ -158,5 +158,22 @@ class TestNic:
         ip = IPv4Header("1.2.3.4", "5.6.7.8", proto=17,  # UDP: not offloaded
                         total_len=IPV4_HEADER_LEN + 8)
         frame = bytes(14) + ip.pack() + bytes(8)
-        assert _l4_checksum_of_frame(frame) is None
-        assert _l4_csum_field(frame) is None
+        assert l4_csum_info(frame) is None
+
+    @pytest.mark.parametrize("payload", [b"", b"x", b"data", bytes(range(256)) * 5])
+    def test_l4_csum_info_agrees_with_the_tcp_header_reference(self, payload):
+        frame = bytearray(_tcp_frame(payload))
+        position = ETH_HEADER_LEN + IPV4_HEADER_LEN + 16
+        reference = int.from_bytes(frame[position:position + 2], "big")
+        frame[position:position + 2] = b"\xab\xcd"  # computed with the field zeroed
+        assert l4_csum_info(bytes(frame)) == (position, 0xABCD, reference)
+
+    def test_l4_csum_info_rejects_malformed_frames(self):
+        frame = bytearray(_tcp_frame())
+        with pytest.raises(ValueError):
+            l4_csum_info(bytes(frame[:30]))
+        with pytest.raises(ValueError):
+            l4_csum_info(bytes(frame[:ETH_HEADER_LEN + IPV4_HEADER_LEN + 4]))
+        frame[ETH_HEADER_LEN] ^= 0x80  # version 4 -> 12
+        with pytest.raises(ValueError):
+            l4_csum_info(bytes(frame))

@@ -3,29 +3,34 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.bench.costmodel import CostModel
 from repro.bench.testbed import make_testbed
 from repro.bench.wrk import HomaWrkClient
 from repro.net.fabric import Fabric, LinkFaults
+from repro.net.headers import ETH_HEADER_LEN
 from repro.net.homa import GRANT_WINDOW, RTT_BYTES
+from repro.net.nic import NicFeatures, l4_csum_info
 from repro.net.stack import Host
 from repro.sim.engine import Simulator
 from repro.storage.server import ServerConfig
 
 
-def make_pair(faults=None):
+def make_pair(faults=None, client_features=None, server_features=None):
     sim = Simulator()
     fabric = Fabric(sim, faults=faults)
-    server = Host(sim, "srv", "10.0.0.1", fabric, CostModel.paste(), cores=1)
-    client = Host(sim, "cli", "10.0.0.2", fabric, CostModel.kernel(), cores=2)
+    server = Host(sim, "srv", "10.0.0.1", fabric, CostModel.paste(), cores=1,
+                  nic_features=server_features)
+    client = Host(sim, "cli", "10.0.0.2", fabric, CostModel.kernel(), cores=2,
+                  nic_features=client_features)
     server.enable_homa()
     client.enable_homa()
     return sim, server, client
 
 
-def rpc_roundtrip(payload, reply_payload=b"pong", faults=None):
-    sim, server, client = make_pair(faults=faults)
+def rpc_roundtrip(payload, reply_payload=b"pong", faults=None, **features):
+    sim, server, client = make_pair(faults=faults, **features)
     got = {}
 
     def handler(rpc, segments, ctx):
@@ -155,6 +160,146 @@ class TestFaultRecovery:
         faults = LinkFaults(random.Random(7), duplicate=0.3)
         got, _, _ = rpc_roundtrip(payload, faults=faults)
         assert got["request"] == payload
+
+
+class OneFrameFlip:
+    """Fabric faults that flip one bit of one header byte of one frame.
+
+    ``field`` names the byte: the ethertype, the IPv4 version nibble,
+    the IPv4 protocol, or the L4 checksum field (wherever the frame's
+    protocol keeps it).  Every other frame passes untouched.
+    """
+
+    def __init__(self, field, nth):
+        self.field = field
+        self.nth = nth
+        self.seen = 0
+        self.flipped = None
+
+    def plan(self, frame):
+        self.seen += 1
+        if self.seen - 1 != self.nth:
+            return [(0.0, frame)]
+        offset, bit = {
+            "ethertype": (ETH_HEADER_LEN - 1, 0x01),
+            "ip_version": (ETH_HEADER_LEN, 0x80),
+            "ip_proto": (ETH_HEADER_LEN + 9, 0x01),
+            "l4_csum": (l4_csum_info(frame)[0], 0x01),
+        }[self.field]
+        flipped = bytearray(frame)
+        flipped[offset] ^= bit
+        self.flipped = bytes(flipped)
+        return [(0.0, self.flipped)]
+
+
+def tcp_transfer(payload, faults):
+    """``payload`` client->server over TCP; returns the delivered bytes."""
+    sim, server, client = make_pair(faults=faults)
+    received = bytearray()
+
+    def on_accept(sock, ctx):
+        sock.on_data = lambda s, segment, c: received.extend(segment.bytes())
+
+    server.stack.listen(7000, on_accept)
+
+    def start(ctx):
+        sock = client.stack.connect("10.0.0.1", 7000, ctx)
+        sock.on_established = lambda s, c: s.send(payload, c)
+
+    client.process_on_core(client.cpus[0], start)
+    sim.run_until_idle(max_events=2_000_000)
+    return bytes(received)
+
+
+class TestHeaderFlips:
+    @pytest.mark.parametrize("field",
+                             ["ethertype", "ip_version", "ip_proto", "l4_csum"])
+    @pytest.mark.parametrize("transport", ["tcp", "homa"])
+    def test_one_flipped_header_bit_is_dropped_and_recovered(self, transport,
+                                                             field):
+        payload = bytes(i % 251 for i in range(5000))
+        faults = OneFrameFlip(field, nth=1)
+        if transport == "tcp":
+            assert tcp_transfer(payload, faults) == payload
+        else:
+            got, _, _ = rpc_roundtrip(payload, faults=faults)
+            assert got == {"request": payload, "reply": b"pong"}
+        assert faults.flipped is not None
+
+
+class TestSoftwareChecksumPath:
+    def test_rpc_without_offloads(self):
+        features = NicFeatures(tx_csum_offload=False, rx_csum_offload=False,
+                               hw_timestamps=False)
+        got, server, _ = rpc_roundtrip(b"software csum", client_features=features,
+                                       server_features=features)
+        assert got == {"request": b"software csum", "reply": b"pong"}
+        # The software path must have charged checksum CPU time.
+        assert server.accounting.category("net.csum") > 0
+
+    def test_client_without_tx_offload_writes_valid_checksums(self):
+        payload = bytes(i % 256 for i in range(40_000))
+        got, server, _ = rpc_roundtrip(
+            payload, client_features=NicFeatures(tx_csum_offload=False))
+        assert got == {"request": payload, "reply": b"pong"}
+        assert server.homa.stats["bad_csum"] == 0
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_server_without_rx_offload_drops_corrupted_frames(self, seed):
+        payload = bytes(i % 256 for i in range(30_000))
+        faults = LinkFaults(random.Random(seed), corrupt=0.03)
+        got, server, _ = rpc_roundtrip(
+            payload, faults=faults,
+            server_features=NicFeatures(rx_csum_offload=False))
+        assert got == {"request": payload, "reply": b"pong"}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    loss=st.floats(0.0, 0.2),
+    reorder=st.floats(0.0, 0.3),
+    duplicate=st.floats(0.0, 0.15),
+    corrupt=st.floats(0.0, 0.08),
+    size=st.integers(1, 20_000),
+    rx_offload=st.booleans(),
+)
+@example(seed=1, loss=0.0, reorder=0.0, duplicate=0.0, corrupt=0.05,
+         size=20_000, rx_offload=False)
+@example(seed=0, loss=0.0625, reorder=0.03125, duplicate=0.0, corrupt=0.0625,
+         size=18_713, rx_offload=True)  # a lost GRANT stalls the reply
+def test_property_rpc_delivers_exactly_or_gives_up_cleanly(
+    seed, loss, reorder, duplicate, corrupt, size, rx_offload
+):
+    """Whatever the link does, an RPC delivers the exact message or gives up."""
+    payload = bytes((i * 13 + seed) % 256 for i in range(size))
+    faults = LinkFaults(random.Random(seed), loss=loss, reorder=reorder,
+                        duplicate=duplicate, corrupt=corrupt)
+    features = NicFeatures(rx_csum_offload=rx_offload)
+    sim, server, client = make_pair(faults=faults, client_features=features,
+                                    server_features=features)
+    requests, outcome = [], []
+
+    def handler(rpc, segments, ctx):
+        requests.append(b"".join(seg.bytes() for seg in segments))
+        rpc.reply(payload[::-1], ctx)
+
+    server.homa.listen(7000, handler)
+
+    def fire(ctx):
+        client.homa.send_request(
+            "10.0.0.1", 7000, payload, ctx,
+            on_reply=lambda segs, c: outcome.append(
+                b"".join(seg.bytes() for seg in segs)),
+            on_giveup=lambda rpc_id: outcome.append(None),
+        )
+
+    client.process_on_core(client.cpus[0], fire)
+    sim.run_until_idle(max_events=2_000_000)
+    assert requests in ([], [payload])
+    assert outcome in ([payload[::-1]], [None])
+    if outcome == [None]:
+        assert not client.homa._out
 
 
 class TestHomaKV:
