@@ -314,12 +314,17 @@ class PMetaSlab:
         bad magic, too high, too many fragments.  The key is capped at
         the record end.  No CRC check, as in ``read_record``.
         """
-        # In range, a slot lies wholly inside the region.
-        start = self.region.base + self.slot_base(slot)
+        # In range, a slot lies wholly inside the region.  The range
+        # and shape tests are ``slot_base``'s and ``_check_shape``'s,
+        # made inline on this per-lookup path; the named ones raise.
+        if not 0 <= slot < self.nslots:
+            self.slot_base(slot)
+        start = self.region.base + self.ROOT_SIZE + slot * RECORD_SIZE
         data = self.region.device.data
         (magic, _crc, _kind, _flags, height, nfrags, key_len, _rsvd,
          seq) = _ORDER.unpack_from(data, start)
-        _check_shape(magic, height, nfrags)
+        if magic != RECORD_MAGIC or height > MAX_HEIGHT or nfrags > INLINE_FRAGS:
+            _check_shape(magic, height, nfrags)
         start += _KEY_OFF
         return data[start:start + min(key_len, MAX_KEY)], seq
 

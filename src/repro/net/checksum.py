@@ -15,22 +15,24 @@ tests verify actual bit-level behaviour (corruption detection, known
 vectors).
 
 Implementation note: these run on the wall-clock hot path of every
-simulated frame and every stored value.  The internet checksum sums
-its words in one ``struct`` bulk unpack.  CRC32C treats a value longer
-than ``_SHORT`` bytes as one polynomial over GF(2), held in a single
-Python integer: the input's bits are reversed per byte
-(``bytes.translate``) so that ``int.from_bytes`` puts the first bit
-transmitted at the top, and the polynomial is then folded in halves —
-``a ≡ (a mod x^s) ^ (a >> s) · (x^s mod P)``, the carry-less multiply
-by the 32-bit constant being an XOR of shifted copies — until at most
-``_FOLD_END`` bits are left, which the classic byte-table loop
-finishes.  Short values go straight to that loop, and a small memo
-serves repeated values.  The *results* are bit-identical to the
-bitwise definition (tests/test_net_checksum.py pins them against known
-vectors and a bitwise reference).
+simulated frame and every stored value.  The internet checksum is one
+integer reduction: because ``2^16 ≡ 1 (mod 0xFFFF)``, reading the
+data as one big-endian integer (``int.from_bytes``) and taking it
+modulo ``0xFFFF`` gives the one's-complement sum of its 16-bit words,
+except that the modulus reads a sum of ``0xFFFF`` as 0.  Only
+all-zero data sums to 0, so any other 0 is taken as ``0xFFFF``.
+CRC32C treats a value longer than ``_SHORT`` bytes as one polynomial
+over GF(2), held in a single Python integer: the input's bits are
+reversed per byte (``bytes.translate``) so that ``int.from_bytes``
+puts the first bit transmitted at the top, and the polynomial is then
+folded in halves — ``a ≡ (a mod x^s) ^ (a >> s) · (x^s mod P)``, the
+carry-less multiply by the 32-bit constant being an XOR of shifted
+copies — until at most ``_FOLD_END`` bits are left, which the classic
+byte-table loop finishes.  Short values go straight to that loop, and
+a small memo serves repeated values.  The *results* are bit-identical
+to the bitwise definition (tests/test_net_checksum.py pins them
+against known vectors and a bitwise reference).
 """
-
-import struct
 
 # CRC32C (Castagnoli), reflected form: bit 0 of the register holds the
 # highest-degree coefficient.  The classic byte-at-a-time table.
@@ -151,17 +153,25 @@ def internet_checksum(data, seed=0):
 
 
 def checksum_partial(data, seed=0):
-    """Unfolded one's-complement sum, for incremental computation."""
-    total = seed
-    length = len(data)
-    nwords = length >> 1
-    if nwords:
-        # Sum 16-bit big-endian words in one bulk unpack; identical to
-        # accumulating (data[i] << 8) | data[i+1] per word.
-        total += sum(struct.unpack_from("!%dH" % nwords, data))
-    if length & 1:
-        total += data[-1] << 8
-    return total
+    """One's-complement sum of ``data``'s 16-bit big-endian words, plus ``seed``.
+
+    ``data`` is any bytes-like object; an odd trailing byte is padded
+    with a zero byte, as RFC 1071 does.  The data's sum comes back
+    already folded: 0 for all-zero (or empty) data, otherwise in
+    ``1..0xFFFF``.  ``seed`` is added unfolded, so the result is an
+    *unfolded* partial sum that :func:`checksum_finish` folds, and
+    ``checksum_partial(b, checksum_partial(a))`` chains two pieces
+    when ``a`` has even length.  The folded and finished values equal
+    those of summing the words one by one.
+    """
+    total = int.from_bytes(data, "big")
+    partial = total % 0xFFFF
+    if len(data) & 1:
+        # The zero pad shifts every word up a byte: times 2^8.
+        partial = (partial << 8) % 0xFFFF
+    if not partial and total:
+        partial = 0xFFFF  # a nonzero word sum never folds to 0
+    return partial + seed
 
 
 def checksum_finish(partial):

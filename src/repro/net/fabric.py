@@ -119,8 +119,14 @@ class Fabric:
         self._taps.append(tap)
         return tap
 
-    def transmit(self, src_nic, dst_ip, frame):
-        """Carry ``frame`` from ``src_nic`` to the NIC owning ``dst_ip``."""
+    def transmit(self, src_nic, dst_ip, frame, csum=None):
+        """Carry ``frame`` from ``src_nic`` to the NIC owning ``dst_ip``.
+
+        ``csum`` is the L4 checksum the sending NIC wrote into
+        ``frame``.  It goes on only with a delivery that *is* that bytes
+        object: a corrupted copy is new bytes, and its receiver must sum
+        it again to see the damage.
+        """
         self.frames += 1
         self.bytes += len(frame)
         if dst_ip not in self._ports:
@@ -141,7 +147,8 @@ class Fabric:
                 self.recorder.record_wire(arrival + extra_delay - self.sim.now)
             for tap in self._taps:
                 tap(arrival + extra_delay, src_nic.ip, dst_ip, data)
-            self.sim.at(arrival + extra_delay, dst_nic.on_wire, data)
+            self.sim.at(arrival + extra_delay, dst_nic.on_wire, data,
+                        csum if data is frame else None)
 
     def one_way_latency_ns(self, nbytes):
         """Unloaded one-way latency for a frame of ``nbytes`` (for reports)."""

@@ -438,7 +438,7 @@ class HomaTransport:
                                            HOMA_HEADER_LEN)
         if verdict is None:
             return
-        ip_header, csum_ok = verdict
+        ip_header, csum_ok, raw_header = verdict
         # Integrity: verified exactly as TCP's checksum is (the NIC
         # offload, or the stack's software fallback); corrupted frames
         # die here.
@@ -446,7 +446,7 @@ class HomaTransport:
             self.stats["bad_csum"] += 1
             pkt.release()
             return
-        header = HomaHeader.unpack(pkt.payload_slice(0, HOMA_HEADER_LEN))
+        header = HomaHeader.unpack(raw_header)
         pkt.pull(HOMA_HEADER_LEN)
         pkt.ip = ip_header
         ctx.charge(self.costs.tcp_rx * HOMA_COST_SCALE, "net.homa")
@@ -618,16 +618,8 @@ class HomaTransport:
         # side is what will never resolve now.
         abandoned_replies = set()
         for rpc_id in [r for r, d in self._waiter_dst.items() if d == dst]:
-            self.stats["send_give_ups"] += 1
-            self._reply_waiters.pop(rpc_id, None)
-            self._waiter_dst.pop(rpc_id, None)
+            self._abandon_reply(rpc_id)
             abandoned_replies.add(rpc_id)
-            if self.recorder is not None:
-                self.recorder.homa_give_up(
-                    rpc_id, "reply", core=self.core_for_rpc(rpc_id).index)
-            waiter = self._giveup_waiters.pop(rpc_id, None)
-            if waiter is not None:
-                waiter(rpc_id)
             aborted += 1
         dropped = 0
         for key in [k for k, m in self._in.items() if m.peer_ip == dst]:
@@ -650,6 +642,19 @@ class HomaTransport:
                     core=self.core_for_rpc(message.rpc_id).index)
         return aborted, dropped
 
+    def _abandon_reply(self, rpc_id):
+        """Fail the waiter of a reply that will never arrive: count the
+        give-up, close the chain's reply side, call ``on_giveup``."""
+        self.stats["send_give_ups"] += 1
+        self._reply_waiters.pop(rpc_id, None)
+        self._waiter_dst.pop(rpc_id, None)
+        if self.recorder is not None:
+            self.recorder.homa_give_up(
+                rpc_id, "reply", core=self.core_for_rpc(rpc_id).index)
+        waiter = self._giveup_waiters.pop(rpc_id, None)
+        if waiter is not None:
+            waiter(rpc_id)
+
     # -- receiver-driven loss recovery -----------------------------------------------
 
     def _arm_resend(self, key, message):
@@ -667,10 +672,13 @@ class HomaTransport:
             return
         message.resends += 1
         if message.resends > MAX_RESENDS:
-            # Give up: drop the partial message.
+            # Give up: drop the partial message.  If it is the reply a
+            # local request waits for, that RPC has failed.
             for segment in message.segments.values():
                 segment.release()
             del self._in[key]
+            if message.rpc_id in self._reply_waiters:
+                self._abandon_reply(message.rpc_id)
             return
 
         def ask(ctx):

@@ -6,7 +6,13 @@
   metadata, so the CPU never touches the bytes for integrity.  The
   verified wire checksum is left on the metadata (``wire_csum``) —
   that is the value §4.2 proposes storing instead of recomputing a
-  CRC in the storage stack.
+  CRC in the storage stack.  The simulator sums each frame once: the
+  sum the sending NIC wrote travels with the frame through the
+  fabric, which hands it on only with the very bytes that were sent.
+  Receive verification trusts that carried sum for unmutated bytes
+  and sums the frame itself whenever there is none — a copy the
+  fabric corrupted, a sender without tx offload, a frame injected
+  straight onto the wire.
 - **Hardware timestamps**: arrival time stamped into ``hw_tstamp``,
   reusable as the storage timestamp.
 - **TSO**: a payload larger than MSS is split into wire frames by the
@@ -105,10 +111,13 @@ def l4_csum_info(frame):
     pseudo = ((src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
               + proto + l4_len)
     # The checksum field sits on a word boundary, so its contribution
-    # to the unfolded word sum is exactly ``stored``; subtracting it
-    # equals summing with the field zeroed.
-    partial = checksum_partial(frame[l4_start:l4_start + l4_len], pseudo)
-    return position, stored, checksum_finish(partial - stored)
+    # to the word sum modulo 0xFFFF is exactly ``stored``; subtracting
+    # it equals summing with the field zeroed.  That sum is nonzero
+    # (the pseudo-header carries the protocol), so its fold is the
+    # residue mapped into 1..0xFFFF.
+    partial = checksum_partial(
+        memoryview(frame)[l4_start:l4_start + l4_len], pseudo)
+    return position, stored, checksum_finish((partial - stored - 1) % 0xFFFF + 1)
 
 
 def frame_length(head):
@@ -172,16 +181,20 @@ class Nic:
     def transmit(self, pkt, dst_ip):
         """Serialise a packet onto the fabric (runs at core-completion time).
 
-        Consumes the caller's metadata reference.
+        Consumes the caller's metadata reference.  Each frame leaves
+        with the L4 checksum this NIC wrote into it, or None when it
+        wrote none.
         """
         frames = self._frames_for(pkt)
         sim = self.host.sim
-        for frame in frames:
+        for frame, csum in frames:
             self.stats["tx_frames"] += 1
-            sim.schedule(self.tx_latency_ns, self.fabric.transmit, self, dst_ip, frame)
+            sim.schedule(self.tx_latency_ns, self.fabric.transmit, self, dst_ip,
+                         frame, csum)
         pkt.release()
 
     def _frames_for(self, pkt):
+        """``[(frame, csum)]``: the wire frames, each with its offloaded sum."""
         wire = bytearray(pkt.to_wire())
         payload_len = len(wire) - HEADERS_LEN
         if payload_len > self.mss:
@@ -190,11 +203,13 @@ class Nic:
                     f"oversized segment ({payload_len}B payload) without TSO"
                 )
             return self._tso_split(wire)
+        csum = None
         if self.features.tx_csum_offload:
             info = l4_csum_info(wire)
             if info is not None:
-                _U16.pack_into(wire, info[0], info[2])
-        return [bytes(wire)]
+                csum = info[2]
+                _U16.pack_into(wire, info[0], csum)
+        return [(bytes(wire), csum)]
 
     def _tso_split(self, wire):
         """Hardware segmentation: one jumbo segment -> MSS-sized frames."""
@@ -218,15 +233,22 @@ class Nic:
             )
             position, _stored, csum = l4_csum_info(frame)
             _U16.pack_into(frame, position, csum)
-            frames.append(bytes(frame))
+            frames.append((bytes(frame), csum))
             offset += len(chunk)
             self.stats["tso_splits"] += 1
         return frames
 
     # -- receive ----------------------------------------------------------------
 
-    def on_wire(self, frame):
-        """A frame arrived from the fabric: DMA it into an rx buffer."""
+    def on_wire(self, frame, csum=None):
+        """A frame arrived from the fabric: DMA it into an rx buffer.
+
+        ``csum`` is the L4 checksum the sending NIC wrote into exactly
+        these bytes; the fabric passes it only with an unmutated copy.
+        The rx offload then takes it as the stored and verified sum
+        instead of summing the payload again.  Without one it sums the
+        frame.
+        """
         self.stats["rx_frames"] += 1
         try:
             buf = self.rx_pool.alloc()
@@ -239,15 +261,19 @@ class Nic:
         if self.features.hw_timestamps:
             pkt.hw_tstamp = self.host.sim.now
         if self.features.rx_csum_offload and len(frame) >= HEADERS_LEN:
-            try:
-                info = l4_csum_info(frame)
-            except ValueError:
-                info = None  # malformed headers: the stack drops the frame
-            if info is not None:
-                pkt.wire_csum = info[1]
-                pkt.csum_verified = info[2] == info[1]
-                if not pkt.csum_verified:
-                    self.stats["rx_bad_csum"] += 1
+            if csum is not None:
+                pkt.wire_csum = csum
+                pkt.csum_verified = True
+            else:
+                try:
+                    info = l4_csum_info(frame)
+                except ValueError:
+                    info = None  # malformed headers: the stack drops the frame
+                if info is not None:
+                    pkt.wire_csum = info[1]
+                    pkt.csum_verified = info[2] == info[1]
+                    if not pkt.csum_verified:
+                        self.stats["rx_bad_csum"] += 1
         # Hand to the host after the NIC's fixed rx latency.
         self.host.sim.schedule(self.rx_latency_ns, self.host.on_nic_rx, self, pkt)
 

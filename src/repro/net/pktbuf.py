@@ -24,6 +24,11 @@ from repro.sim.context import NULL_CONTEXT
 
 DEFAULT_HEADROOM = 64
 
+#: What touching a released packet raises.  The per-packet methods
+#: test ``freed`` inline rather than through :meth:`PktBuf._alive`: the
+#: check runs on every push, pull and slice of every frame.
+_USE_AFTER_FREE = "use-after-free of packet metadata"
+
 
 class Frag:
     """A page fragment: a slice of a refcounted buffer."""
@@ -108,7 +113,8 @@ class PktBuf:
 
     def append(self, data):
         """Add bytes at the tail of the linear area (skb_put)."""
-        self._alive()
+        if self.freed:
+            raise RuntimeError(_USE_AFTER_FREE)
         if len(data) > self.tailroom:
             raise IndexError(
                 f"append of {len(data)}B exceeds tailroom {self.tailroom}"
@@ -119,7 +125,8 @@ class PktBuf:
 
     def push(self, data):
         """Prepend bytes into headroom (skb_push) — how headers are added."""
-        self._alive()
+        if self.freed:
+            raise RuntimeError(_USE_AFTER_FREE)
         if len(data) > self.headroom:
             raise IndexError(
                 f"push of {len(data)}B exceeds headroom {self.headroom}"
@@ -131,7 +138,8 @@ class PktBuf:
 
     def pull(self, length):
         """Strip bytes from the head (skb_pull) — how headers are consumed."""
-        self._alive()
+        if self.freed:
+            raise RuntimeError(_USE_AFTER_FREE)
         if length > self.data_len:
             raise IndexError(f"pull of {length}B exceeds data_len {self.data_len}")
         self.data_off += length
@@ -140,7 +148,8 @@ class PktBuf:
 
     def trim(self, length):
         """Shrink the linear data to ``length`` bytes (skb_trim)."""
-        self._alive()
+        if self.freed:
+            raise RuntimeError(_USE_AFTER_FREE)
         if length > self.data_len:
             raise IndexError("trim cannot grow a packet")
         self.data_len = length
@@ -153,7 +162,8 @@ class PktBuf:
 
     def payload_slice(self, offset, length):
         """Bytes from the linear payload at ``offset`` (relative to data)."""
-        self._alive()
+        if self.freed:
+            raise RuntimeError(_USE_AFTER_FREE)
         if offset < 0 or offset + length > self.data_len:
             raise IndexError("slice outside linear data")
         return self.buf.read(self.data_off + offset, length)
@@ -201,13 +211,15 @@ class PktBuf:
 
     def retain(self):
         """Take a metadata reference (e.g. socket queue + capture tap)."""
-        self._alive()
+        if self.freed:
+            raise RuntimeError(_USE_AFTER_FREE)
         self.refcount += 1
         return self
 
     def release(self):
         """Drop a metadata reference; at zero, drop all data references."""
-        self._alive()
+        if self.freed:
+            raise RuntimeError(_USE_AFTER_FREE)
         self.refcount -= 1
         if self.refcount == 0:
             self.freed = True
@@ -238,7 +250,7 @@ class PktBuf:
 
     def _alive(self):
         if self.freed:
-            raise RuntimeError("use-after-free of packet metadata")
+            raise RuntimeError(_USE_AFTER_FREE)
 
     def __repr__(self):
         return (

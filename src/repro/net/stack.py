@@ -40,8 +40,11 @@ from repro.sim import ExecutionContext
 from repro.sim.context import NULL_CONTEXT
 from repro.sim.cpu import CpuSet
 
-#: Wire bytes of the IPv4 ethertype, for the rx fast-path peek.
+#: Wire bytes of the IPv4 ethertype, for the rx check.
 _ETHERTYPE_IPV4_BYTES = ETHERTYPE_IPV4.to_bytes(2, "big")
+
+#: Frame offset of the L4 header.
+_L4_START = ETH_HEADER_LEN + IPV4_HEADER_LEN
 
 #: IPv4 source and destination address, then the TCP ports: the
 #: 4-tuple RSS steers on, 12 bytes into the IPv4 header.
@@ -319,26 +322,28 @@ class NetworkStack:
     def ip_input(self, pkt, ctx, proto, l4_header_len):
         """The receive front half TCP and Homa share.
 
-        Charges the driver and IP costs, then drops (and releases) a
-        frame that is too short, not IPv4, malformed, failing its IP
-        checksum or not carrying ``proto``.  A kept frame is trimmed of
-        Ethernet padding and pulled to its L4 header.  Returns
-        ``(ip_header, l4_ok)`` — ``l4_ok`` is the NIC's checksum
-        verdict, or a charged software verify when rx offload is off —
-        or None for a dropped frame.
+        Reads the Ethernet, IPv4 and ``l4_header_len`` L4 header bytes
+        in one slice.  Charges the driver and IP costs, then drops (and
+        releases) a frame that is too short, not IPv4, malformed,
+        failing its IP checksum or not carrying ``proto``.  A kept
+        frame is trimmed of Ethernet padding and pulled to its L4
+        header.  Returns ``(ip_header, l4_ok, l4_raw)`` — ``l4_ok`` is
+        the NIC's checksum verdict, or a charged software verify when
+        rx offload is off, and ``l4_raw`` the L4 header bytes for the
+        transport to unpack — or None for a dropped frame.
         """
         self.costs.charge_driver_rx(ctx)
-        # Peek just the 2-byte ethertype instead of materialising the
-        # whole frame (linear_bytes reads every payload byte off the
-        # device) to unpack a header whose only consulted field is this.
-        if pkt.data_len < ETH_HEADER_LEN + IPV4_HEADER_LEN + l4_header_len or \
-                pkt.payload_slice(ETH_HEADER_LEN - 2, 2) != _ETHERTYPE_IPV4_BYTES:
+        if pkt.data_len < _L4_START + l4_header_len:
+            pkt.release()
+            return None
+        raw = pkt.payload_slice(0, _L4_START + l4_header_len)
+        if raw[ETH_HEADER_LEN - 2:ETH_HEADER_LEN] != _ETHERTYPE_IPV4_BYTES:
             pkt.release()
             return None
         pkt.l2_off = pkt.data_off
         pkt.pull(ETH_HEADER_LEN)
         self.costs.charge_ip_rx(ctx)
-        raw_ip = pkt.payload_slice(0, IPV4_HEADER_LEN)
+        raw_ip = raw[ETH_HEADER_LEN:_L4_START]
         try:
             ip_header = IPv4Header.unpack(raw_ip)
         except ValueError:
@@ -354,18 +359,24 @@ class NetworkStack:
         if ip_header.proto != proto:
             pkt.release()
             return None
+        if ip_header.total_len < IPV4_HEADER_LEN + l4_header_len:
+            # Shorter than its own headers: nothing left to pull.
+            self.stats["rx_malformed"] += 1
+            pkt.release()
+            return None
         # Trim Ethernet padding before checksum/payload accounting.
         if pkt.data_len > ip_header.total_len:
             pkt.trim(ip_header.total_len)
         pkt.l3_off = pkt.data_off
         pkt.pull(IPV4_HEADER_LEN)
+        l4_raw = raw[_L4_START:]
         if pkt.csum_verified or (pkt.wire_csum is not None and
                                  self.host.nic.features.rx_csum_offload):
-            return ip_header, pkt.csum_verified
+            return ip_header, pkt.csum_verified, l4_raw
         self.costs.charge_sw_checksum(ctx, pkt.data_len)
         frame = pkt.buf.read(pkt.l2_off, pkt.data_off + pkt.data_len - pkt.l2_off)
         _position, stored, computed = l4_csum_info(frame)
-        return ip_header, stored == computed
+        return ip_header, stored == computed, l4_raw
 
     def rx(self, pkt, ctx):
         """Full receive processing of one frame (run-to-completion)."""
@@ -373,9 +384,9 @@ class NetworkStack:
         verdict = self.ip_input(pkt, ctx, IPPROTO_TCP, TCP_HEADER_LEN)
         if verdict is None:
             return
-        ip_header, csum_ok = verdict
+        ip_header, csum_ok, raw_tcp = verdict
         try:
-            tcp_header = TCPHeader.unpack(pkt.payload_slice(0, TCP_HEADER_LEN))
+            tcp_header = TCPHeader.unpack(raw_tcp)
         except ValueError:
             # Corrupted data-offset nibble: drop, like a real stack.
             self.stats["rx_malformed"] += 1

@@ -14,6 +14,16 @@ from repro.net.checksum import (
     internet_checksum,
     verify_internet_checksum,
 )
+from repro.net.headers import (
+    ETH_HEADER_LEN,
+    IPPROTO_TCP,
+    IPV4_HEADER_LEN,
+    TCP_HEADER_LEN,
+    IPv4Header,
+    TCPHeader,
+)
+from repro.net.homa import DATA, HOMA_HEADER_LEN, IPPROTO_HOMA, HomaHeader
+from repro.net.nic import l4_csum_info
 
 
 def bitwise_crc32c(data, seed=0):
@@ -65,6 +75,96 @@ class TestCrc32c:
     def test_seed_chains_incrementally(self, a, b):
         """``PacketFS.ingest`` chains chunk CRCs this way; ``read`` checks it."""
         assert crc32c(a + b) == crc32c(b, seed=crc32c(a))
+
+
+def word_sum(data, seed=0):
+    """The unfolded one's-complement sum, one 16-bit word at a time."""
+    total = seed
+    for i in range(0, len(data) - 1, 2):
+        total += data[i] << 8 | data[i + 1]
+    if len(data) & 1:
+        total += data[-1] << 8  # an odd tail is padded with a zero byte
+    return total
+
+
+#: The largest pseudo-header sum: four 0xFFFF address halves, protocol
+#: 0xFF and an L4 length of 0xFFFF.
+MAX_PSEUDO = 4 * 0xFFFF + 0xFF + 0xFFFF
+
+
+class TestChecksumPartial:
+    """``checksum_partial`` against the word-by-word sum it replaces."""
+
+    @pytest.mark.parametrize("length", list(range(301)) + [1459, 1460, 1461])
+    def test_matches_the_word_sum_reference(self, length):
+        rng = random.Random(length)
+        for data in (rng.randbytes(length), bytes(length), b"\xff" * length):
+            for seed in (0, 1, rng.randrange(MAX_PSEUDO), MAX_PSEUDO):
+                expected = checksum_finish(word_sum(data, seed))
+                for view in (data, bytearray(data), memoryview(data)):
+                    assert checksum_finish(checksum_partial(view, seed)) == \
+                        expected, (length, data[:1], seed, type(view))
+
+    def test_the_data_sum_is_zero_only_for_zero_data(self):
+        for length in (0, 1, 2, 3, 1460, 1461):
+            assert checksum_partial(bytes(length), 7) == 7
+        # 0 and 0xFFFF are one residue; a nonzero word sum is 0xFFFF.
+        assert checksum_partial(b"\xff\xff") == 0xFFFF
+        assert checksum_partial(b"\x80\x00\x7f\xff", 7) == 0xFFFF + 7
+        assert checksum_partial(b"\xff") == 0xFF00
+
+    def test_even_pieces_chain(self):
+        data = random.Random(5).randbytes(301)
+        chained = checksum_partial(data[40:], checksum_partial(data[:40], 12345))
+        assert checksum_finish(chained) == checksum_finish(word_sum(data, 12345))
+
+
+def _eth_ipv4(src, dst, proto, l4_len):
+    ip = IPv4Header(src, dst, proto, total_len=IPV4_HEADER_LEN + l4_len)
+    return bytes(ETH_HEADER_LEN - 2) + b"\x08\x00" + ip.pack()
+
+
+def _with_field(frame, position, value):
+    return frame[:position] + value.to_bytes(2, "big") + frame[position + 2:]
+
+
+class TestL4CsumInfo:
+    """The one L4 reader against references that sum word by word."""
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_tcp_frames_match_the_tcp_header_checksum(self, case):
+        rng = random.Random(case)
+        payload = rng.randbytes(rng.choice([0, 1, 2, rng.randrange(1461), 1460]))
+        ip = IPv4Header(rng.getrandbits(32), rng.getrandbits(32), IPPROTO_TCP,
+                        total_len=IPV4_HEADER_LEN + TCP_HEADER_LEN + len(payload))
+        tcp = TCPHeader(rng.getrandbits(16), rng.getrandbits(16),
+                        seq=rng.getrandbits(32), ack=rng.getrandbits(32),
+                        flags=rng.getrandbits(6), window=rng.getrandbits(16))
+        expected = tcp.compute_checksum(ip, payload)
+        position = ETH_HEADER_LEN + IPV4_HEADER_LEN + 16
+        frame = _eth_ipv4(ip.src, ip.dst, IPPROTO_TCP,
+                          TCP_HEADER_LEN + len(payload)) + tcp.pack() + payload
+        for stored in (0x0000, 0xFFFF, rng.getrandbits(16), expected):
+            wire = _with_field(frame, position, stored)
+            for view in (wire, bytearray(wire), memoryview(wire)):
+                assert l4_csum_info(view) == (position, stored, expected)
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_homa_frames_match_the_word_sum(self, case):
+        rng = random.Random(case)
+        payload = rng.randbytes(rng.choice([0, 1, rng.randrange(1453), 1452]))
+        src, dst = rng.getrandbits(32), rng.getrandbits(32)
+        l4 = HomaHeader(DATA, rng.getrandbits(16), rng.getrandbits(16),
+                        rng.getrandbits(64), offset=rng.getrandbits(20),
+                        msg_len=rng.getrandbits(20),
+                        payload_len=len(payload)).pack() + payload
+        pseudo = struct.pack("!IIBBH", src, dst, 0, IPPROTO_HOMA, len(l4))
+        expected = checksum_finish(word_sum(pseudo + l4))
+        position = ETH_HEADER_LEN + IPV4_HEADER_LEN + 2
+        frame = _eth_ipv4(src, dst, IPPROTO_HOMA, HOMA_HEADER_LEN + len(payload)) + l4
+        for stored in (0x0000, 0xFFFF, rng.getrandbits(16), expected):
+            assert l4_csum_info(_with_field(frame, position, stored)) == \
+                (position, stored, expected)
 
 
 class TestInternetChecksum:

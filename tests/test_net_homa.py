@@ -9,8 +9,8 @@ from repro.bench.costmodel import CostModel
 from repro.bench.testbed import make_testbed
 from repro.bench.wrk import HomaWrkClient
 from repro.net.fabric import Fabric, LinkFaults
-from repro.net.headers import ETH_HEADER_LEN
-from repro.net.homa import GRANT_WINDOW, RTT_BYTES
+from repro.net.headers import ETH_HEADER_LEN, IPV4_HEADER_LEN, ip_to_int
+from repro.net.homa import DATA, GRANT_WINDOW, MAX_RESENDS, RTT_BYTES
 from repro.net.nic import NicFeatures, l4_csum_info
 from repro.net.stack import Host
 from repro.sim.engine import Simulator
@@ -225,6 +225,55 @@ class TestHeaderFlips:
             got, _, _ = rpc_roundtrip(payload, faults=faults)
             assert got == {"request": payload, "reply": b"pong"}
         assert faults.flipped is not None
+
+
+class DropReplyTail:
+    """Fabric faults that drop every DATA frame from ``src`` past offset 0.
+
+    The first packet of each message from ``src`` arrives; no later
+    one ever does, retransmissions included.
+    """
+
+    def __init__(self, src):
+        self.src = ip_to_int(src)
+        self.dropped = 0
+
+    def plan(self, frame):
+        l4 = ETH_HEADER_LEN + IPV4_HEADER_LEN
+        src = int.from_bytes(frame[ETH_HEADER_LEN + 12:ETH_HEADER_LEN + 16], "big")
+        offset = int.from_bytes(frame[l4 + 16:l4 + 20], "big")
+        if src == self.src and frame[l4] == DATA and offset > 0:
+            self.dropped += 1
+            return []
+        return [(0.0, frame)]
+
+
+class TestPartialReply:
+    def test_a_reply_stuck_past_every_resend_fails_its_waiter(self):
+        """The client drops the partial reply after MAX_RESENDS and must
+        then call ``on_giveup``; it used to call neither callback."""
+        faults = DropReplyTail("10.0.0.1")
+        sim, server, client = make_pair(faults=faults)
+        server.homa.listen(7000, lambda rpc, segs, ctx: rpc.reply(bytes(5000), ctx))
+        outcome = []
+
+        def fire(ctx):
+            client.homa.send_request(
+                "10.0.0.1", 7000, b"get", ctx,
+                on_reply=lambda segs, c: outcome.append(b"".join(
+                    seg.bytes() for seg in segs)),
+                on_giveup=outcome.append,
+            )
+
+        client.process_on_core(client.cpus[0], fire)
+        sim.run_until_idle(max_events=2_000_000)
+        assert faults.dropped > MAX_RESENDS
+        assert len(outcome) == 1 and isinstance(outcome[0], int)
+        assert client.homa.stats["send_give_ups"] == 1
+        assert not client.homa._reply_waiters
+        assert not client.homa._giveup_waiters
+        assert not client.homa._waiter_dst
+        assert not client.homa._in
 
 
 class TestSoftwareChecksumPath:
