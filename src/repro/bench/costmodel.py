@@ -184,40 +184,31 @@ class CostModel:
     # --------------------------------------------------------- network charges
 
     def charge_driver_rx(self, ctx):
-        entry = self._t_driver_rx
-        return ctx.charge(entry[0], entry[1])
+        return ctx.charge(*self._t_driver_rx)
 
     def charge_driver_tx(self, ctx):
-        entry = self._t_driver_tx
-        return ctx.charge(entry[0], entry[1])
+        return ctx.charge(*self._t_driver_tx)
 
     def charge_ip_rx(self, ctx):
-        entry = self._t_ip_rx
-        return ctx.charge(entry[0], entry[1])
+        return ctx.charge(*self._t_ip_rx)
 
     def charge_ip_tx(self, ctx):
-        entry = self._t_ip_tx
-        return ctx.charge(entry[0], entry[1])
+        return ctx.charge(*self._t_ip_tx)
 
     def charge_tcp_rx(self, ctx):
-        entry = self._t_tcp_rx
-        return ctx.charge(entry[0], entry[1])
+        return ctx.charge(*self._t_tcp_rx)
 
     def charge_tcp_tx(self, ctx):
-        entry = self._t_tcp_tx
-        return ctx.charge(entry[0], entry[1])
+        return ctx.charge(*self._t_tcp_tx)
 
     def charge_sock_deliver(self, ctx):
-        entry = self._t_sock_deliver
-        return ctx.charge(entry[0], entry[1])
+        return ctx.charge(*self._t_sock_deliver)
 
     def charge_sock_send(self, ctx):
-        entry = self._t_sock_send
-        return ctx.charge(entry[0], entry[1])
+        return ctx.charge(*self._t_sock_send)
 
     def charge_pktbuf_alloc(self, ctx):
-        entry = self._t_pktbuf_alloc
-        return ctx.charge(entry[0], entry[1])
+        return ctx.charge(*self._t_pktbuf_alloc)
 
     def charge_copy_to_skb(self, ctx, nbytes):
         return ctx.charge(nbytes * self.copy_per_byte, "net.copy")
@@ -227,8 +218,7 @@ class CostModel:
         return ctx.charge(self.csum_fixed + nbytes * self.csum_per_byte, "net.csum")
 
     def charge_ooo_insert(self, ctx):
-        entry = self._t_ooo_insert
-        return ctx.charge(entry[0], entry[1])
+        return ctx.charge(*self._t_ooo_insert)
 
     def charge_http_parse(self, ctx, nbytes):
         return ctx.charge(
@@ -236,20 +226,17 @@ class CostModel:
         )
 
     def charge_http_build(self, ctx):
-        entry = self._t_http_build
-        return ctx.charge(entry[0], entry[1])
+        return ctx.charge(*self._t_http_build)
 
     def charge_app(self, ctx):
         """The application's own (non-storage) request handling."""
-        entry = self._t_app
-        return ctx.charge(entry[0], entry[1])
+        return ctx.charge(*self._t_app)
 
     # --------------------------------------------------------- storage charges
 
     def charge_request_prep(self, ctx):
         """Building the store's internal request structure (Table 1 row 1)."""
-        entry = self._t_request_prep
-        return ctx.charge(entry[0], entry[1])
+        return ctx.charge(*self._t_request_prep)
 
     def charge_crc(self, ctx, nbytes):
         """Software CRC32C over a stored value (Table 1 row 2)."""

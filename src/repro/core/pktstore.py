@@ -82,6 +82,9 @@ class PacketStore(PersistentSkipList):
     def __init__(self, slab, pool, head_slot, seq, rng, verify_on_read=False):
         super().__init__(slab.region, head_slot + 1, seq, rng)
         self.slab = slab
+        #: The walk's node decoder: the slab reads a record's order key,
+        #: and rejects a bad slot or record by raising, in one call.
+        self._order_at = slab.order_key
         self.pool = pool
         self.verify_on_read = verify_on_read
         #: record slot -> list of PacketBuffer references we hold.
@@ -184,13 +187,6 @@ class PacketStore(PersistentSkipList):
         return store, report
 
     # ------------------------------------------------------------- traversal
-
-    def _order_at(self, link):
-        """Order key of the record ``link`` names, read by
-        :meth:`PMetaSlab.read_order`, which rejects a bad slot or
-        record by raising."""
-        key, seq = self.slab.read_order(link - 1)
-        return key, MAX_SEQ - seq
 
     def _set_next(self, link, level, target, ctx, fence):
         self.slab.write_next(link - 1, level, target, ctx, fence=fence)

@@ -47,6 +47,7 @@ import struct
 
 from repro.net.checksum import crc32c
 from repro.sim.context import NULL_CONTEXT
+from repro.storage.skiplist import MAX_SEQ
 
 RECORD_SIZE = 256
 RECORD_MAGIC = 0x9C7B0F5E
@@ -306,14 +307,22 @@ class PMetaSlab:
             current = self.read_record(current.cont - 1)
 
     def read_order(self, slot):
-        """``(key, seq)`` of the record in ``slot``: its skip-list order.
+        """``(key, seq)`` of the record in ``slot``; see :meth:`order_key`."""
+        key, inverted = self.order_key(slot + 1)
+        return key, MAX_SEQ - inverted
+
+    def order_key(self, link):
+        """Skip-list order key ``(key, MAX_SEQ - seq)`` of the record in
+        slot ``link - 1`` — the packet store names a record by its
+        slot + 1 — in one call per record the walk visits.
 
         Reads the 24-byte header and the key straight from the device
         image, none of the fragment or link area, and rejects a record
-        exactly where ``read_record(slot)`` does: a slot out of range,
-        bad magic, too high, too many fragments.  The key is capped at
-        the record end.  No CRC check, as in ``read_record``.
+        exactly where ``read_record(link - 1)`` does: a slot out of
+        range, bad magic, too high, too many fragments.  The key is
+        capped at the record end.  No CRC check, as in ``read_record``.
         """
+        slot = link - 1
         # In range, a slot lies wholly inside the region.  The range
         # and shape tests are ``slot_base``'s and ``_check_shape``'s,
         # made inline on this per-lookup path; the named ones raise.
@@ -326,7 +335,7 @@ class PMetaSlab:
         if magic != RECORD_MAGIC or height > MAX_HEIGHT or nfrags > INLINE_FRAGS:
             _check_shape(magic, height, nfrags)
         start += _KEY_OFF
-        return data[start:start + min(key_len, MAX_KEY)], seq
+        return data[start:start + min(key_len, MAX_KEY)], MAX_SEQ - seq
 
     def read_next(self, slot, level):
         return self.region.read_u64(self.slot_base(slot) + NEXT_OFF + 8 * level)

@@ -68,8 +68,10 @@ class Link:
 
     def transmit(self, now, nbytes):
         """Serialise a frame; returns its arrival time at the far end."""
-        start = max(now, self.busy_until)
-        done = start + self.serialization_ns(nbytes)
+        busy_until = self.busy_until
+        start = now if now >= busy_until else busy_until
+        # serialization_ns(nbytes), inline on the per-frame path.
+        done = start + nbytes * 8 / self.bandwidth_bps * 1e9
         self.busy_until = done
         return done + self.propagation_ns
 

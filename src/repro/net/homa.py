@@ -89,6 +89,9 @@ HOMA_HEADER = struct.Struct("!BBHHHQIIHH")
 # The checksum sits at offset 2 so the NIC offload can fill/verify it
 # exactly as it does TCP's (the paper: Homa reuses NIC offload features).
 HOMA_HEADER_LEN = HOMA_HEADER.size
+#: The rpc id, 8 bytes into the Homa header: what RSS steers on.
+_RPC_ID = struct.Struct("!Q")
+_L4_START = ETH_HEADER_LEN + IPV4_HEADER_LEN
 
 
 class HomaHeader:
@@ -406,7 +409,7 @@ class HomaTransport:
         self._pending_tx = []
         return out
 
-    def core_for_packet(self, pkt):
+    def core_for_packet(self, head):
         """RSS: steer by RPC id so one message reassembles on one core.
 
         Homa has no connections, so the TCP trick (follow the socket's
@@ -414,17 +417,15 @@ class HomaTransport:
         RESEND/ACK of an RPC — and the server handler it completes into
         — on a stable core, which is what lets ``cores=N`` servers
         spread independent RPCs without splitting one message's
-        reassembly state across slices.
+        reassembly state across slices.  ``head`` is the frame's first
+        bytes, as :meth:`~repro.net.stack.NetworkStack.ip_input` takes
+        them.
         """
         cpus = self.host.cpus
-        if len(cpus) == 1 or \
-                pkt.data_len < ETH_HEADER_LEN + IPV4_HEADER_LEN + HOMA_HEADER_LEN:
+        if len(cpus) == 1 or len(head) < _L4_START + HOMA_HEADER_LEN:
             return cpus[0]
-        # The length guard above covers the whole Homa header, so read
-        # just the 8-byte rpc_id field (header offset 8) rather than
-        # materialising the full frame to unpack one field.
-        raw = pkt.payload_slice(ETH_HEADER_LEN + IPV4_HEADER_LEN + 8, 8)
-        return cpus[int.from_bytes(raw, "big") % len(cpus)]
+        (rpc_id,) = _RPC_ID.unpack_from(head, _L4_START + 8)
+        return cpus[rpc_id % len(cpus)]
 
     def core_for_rpc(self, rpc_id):
         """The core :meth:`core_for_packet` steers this RPC's packets to."""
@@ -433,8 +434,8 @@ class HomaTransport:
 
     # -- receive side ---------------------------------------------------------------
 
-    def rx(self, pkt, ctx):
-        verdict = self.host.stack.ip_input(pkt, ctx, IPPROTO_HOMA,
+    def rx(self, pkt, head, ctx):
+        verdict = self.host.stack.ip_input(pkt, head, ctx, IPPROTO_HOMA,
                                            HOMA_HEADER_LEN)
         if verdict is None:
             return
@@ -556,12 +557,14 @@ class HomaTransport:
         if message is None or message.acked:
             return
         asked_end = header.offset + max(header.msg_len, 1)
-        end = min(asked_end, message.sent)
-        offset = header.offset
-        while offset < end:
-            take = min(HOMA_MSS, end - offset)
-            self._send_data(message, offset, take, ctx, retransmit=True)
-            offset += take
+        # Replay the pieces first sent that overlap the asked range, as
+        # the sender timeout does: the receiver keys pieces by offset,
+        # so a piece cut anew could overlap one it already holds.
+        for offset in sorted(message.ranges):
+            length = message.ranges[offset]
+            if offset < asked_end and offset + length > header.offset:
+                self._send_data(message, offset, length, ctx,
+                                retransmit=True)
         if asked_end > message.granted:
             # A RESEND for bytes never sent also grants them, as in
             # Homa: after a lost GRANT, each end would otherwise wait

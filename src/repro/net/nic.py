@@ -44,6 +44,7 @@ from repro.net.headers import (
     IPv4Header,
 )
 from repro.net.pktbuf import PktBuf
+from repro.net.pool import PoolExhausted
 
 HEADERS_LEN = ETH_HEADER_LEN + IPV4_HEADER_LEN + TCP_HEADER_LEN
 
@@ -195,7 +196,7 @@ class Nic:
 
     def _frames_for(self, pkt):
         """``[(frame, csum)]``: the wire frames, each with its offloaded sum."""
-        wire = bytearray(pkt.to_wire())
+        wire = pkt.to_wire()
         payload_len = len(wire) - HEADERS_LEN
         if payload_len > self.mss:
             if not self.features.tso:
@@ -207,9 +208,10 @@ class Nic:
         if self.features.tx_csum_offload:
             info = l4_csum_info(wire)
             if info is not None:
-                csum = info[2]
-                _U16.pack_into(wire, info[0], csum)
-        return [(bytes(wire), csum)]
+                position, _stored, csum = info
+                wire = (wire[:position] + _U16.pack(csum)
+                        + wire[position + 2:])
+        return [(wire, csum)]
 
     def _tso_split(self, wire):
         """Hardware segmentation: one jumbo segment -> MSS-sized frames."""
@@ -252,7 +254,7 @@ class Nic:
         self.stats["rx_frames"] += 1
         try:
             buf = self.rx_pool.alloc()
-        except Exception:
+        except PoolExhausted:
             self.stats["rx_dropped_nobuf"] += 1
             return
         buf.write(0, frame)

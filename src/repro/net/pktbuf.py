@@ -109,6 +109,8 @@ class PktBuf:
     @property
     def total_len(self):
         """Linear + all frags, the packet's full payload length."""
+        if not self.frags:
+            return self.data_len
         return self.data_len + sum(frag.length for frag in self.frags)
 
     def append(self, data):
@@ -157,7 +159,8 @@ class PktBuf:
 
     def linear_bytes(self):
         """The linear data area as bytes."""
-        self._alive()
+        if self.freed:
+            raise RuntimeError(_USE_AFTER_FREE)
         return self.buf.read(self.data_off, self.data_len)
 
     def payload_slice(self, offset, length):
@@ -177,9 +180,10 @@ class PktBuf:
 
     def to_wire(self):
         """Linearised full packet bytes (what serialises onto the fabric)."""
-        self._alive()
+        if self.freed:
+            raise RuntimeError(_USE_AFTER_FREE)
         if not self.frags:
-            return self.linear_bytes()
+            return self.buf.read(self.data_off, self.data_len)
         parts = [self.linear_bytes()]
         parts.extend(frag.read() for frag in self.frags)
         return b"".join(parts)

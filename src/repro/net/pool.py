@@ -38,9 +38,8 @@ class PacketBuffer:
         # region indirection is hoisted out of the per-access path.
         # Slot bounds are checked here; device bounds hold because the
         # slot lies inside the pool's region by construction.
-        region = pool.region
-        self._dev = region.device
-        self._abs = region.base + base
+        self._dev = pool.device
+        self._abs = pool.device_base + base
 
     def get(self):
         """Take an additional data reference."""
@@ -120,6 +119,9 @@ class BufferPool(PressureSignal):
             raise ValueError("slot size must be positive")
         super().__init__(high_watermark, low_watermark)
         self.region = region
+        #: The region's device and its base on it, for the handles.
+        self.device = region.device
+        self.device_base = region.base
         self.slot_size = slot_size
         self.name = name or f"pool:{region.name}"
         self.nslots = region.size // slot_size
@@ -157,20 +159,28 @@ class BufferPool(PressureSignal):
             self.exhaustions += 1
             raise PoolExhausted(f"{self.name}: all {self.nslots} slots in use")
         slot = self._free.pop()
-        self._in_use.add(slot)
+        in_use = self._in_use
+        in_use.add(slot)
         self.allocs += 1
-        if len(self._in_use) > self.high_water:
-            self.high_water = len(self._in_use)
-        self.observe(self.occupancy)
+        if len(in_use) > self.high_water:
+            self.high_water = len(in_use)
+        # ``observe`` is a no-op below the high watermark while the flag
+        # is down, which is nearly every call: skip it then.
+        level = len(in_use) / self.nslots
+        if self.under_pressure or level >= self.high_watermark:
+            self.observe(level)
         return PacketBuffer(self, slot, slot * self.slot_size, self.slot_size)
 
     def _release(self, slot):
-        if slot not in self._in_use:
+        in_use = self._in_use
+        if slot not in in_use:
             raise RuntimeError(f"{self.name}: releasing slot {slot} not in use")
-        self._in_use.remove(slot)
+        in_use.remove(slot)
         self._free.append(slot)
         self.frees += 1
-        self.observe(self.occupancy)
+        level = len(in_use) / self.nslots
+        if self.under_pressure or level >= self.high_watermark:
+            self.observe(level)
 
     def slot_region_base(self, slot):
         """Region-local base offset of a slot (used by recovery scans)."""

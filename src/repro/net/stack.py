@@ -30,7 +30,7 @@ from repro.net.headers import (
     TCPHeader,
     ip_to_int,
 )
-from repro.net.homa import IPPROTO_HOMA, HomaTransport
+from repro.net.homa import HOMA_HEADER_LEN, IPPROTO_HOMA, HomaTransport
 from repro.net.nic import Nic, frame_headers, l4_csum_info
 from repro.net.pktbuf import PktBuf
 from repro.net.pool import BufferPool, PoolExhausted
@@ -45,6 +45,13 @@ _ETHERTYPE_IPV4_BYTES = ETHERTYPE_IPV4.to_bytes(2, "big")
 
 #: Frame offset of the L4 header.
 _L4_START = ETH_HEADER_LEN + IPV4_HEADER_LEN
+
+#: Frame offset of the IPv4 protocol byte.
+_IP_PROTO_OFF = ETH_HEADER_LEN + 9
+
+#: Bytes of each received frame read for its headers: Ethernet, IPv4
+#: and the longer of the TCP and Homa headers.
+_RX_HEAD_LEN = _L4_START + max(TCP_HEADER_LEN, HOMA_HEADER_LEN)
 
 #: IPv4 source and destination address, then the TCP ports: the
 #: 4-tuple RSS steers on, 12 bytes into the IPv4 header.
@@ -301,9 +308,8 @@ class NetworkStack:
         the L4 checksum on the wire; without it the checksum is
         written here, in software, and charged.
         """
-        pkt.push(l4_header)
-        l4_len = pkt.total_len
-        pkt.push(frame_headers(src_ip, dst_ip, proto, l4_len))
+        l4_len = pkt.total_len + len(l4_header)
+        pkt.push(frame_headers(src_ip, dst_ip, proto, l4_len) + l4_header)
         if not self.host.nic.features.tx_csum_offload:
             position, _stored, csum = l4_csum_info(pkt.to_wire())
             pkt.buf.write(pkt.data_off + position, csum.to_bytes(2, "big"))
@@ -319,31 +325,31 @@ class NetworkStack:
 
     # -- receive path -----------------------------------------------------------
 
-    def ip_input(self, pkt, ctx, proto, l4_header_len):
+    def ip_input(self, pkt, head, ctx, proto, l4_header_len):
         """The receive front half TCP and Homa share.
 
-        Reads the Ethernet, IPv4 and ``l4_header_len`` L4 header bytes
-        in one slice.  Charges the driver and IP costs, then drops (and
-        releases) a frame that is too short, not IPv4, malformed,
-        failing its IP checksum or not carrying ``proto``.  A kept
-        frame is trimmed of Ethernet padding and pulled to its L4
-        header.  Returns ``(ip_header, l4_ok, l4_raw)`` — ``l4_ok`` is
-        the NIC's checksum verdict, or a charged software verify when
-        rx offload is off, and ``l4_raw`` the L4 header bytes for the
-        transport to unpack — or None for a dropped frame.
+        Takes the Ethernet, IPv4 and L4 header bytes as ``head``, the
+        one read :meth:`Host.on_nic_rx` made.  Charges the driver and
+        IP costs, then drops (and releases) a frame that is too short,
+        not IPv4, malformed, failing its IP checksum or not carrying
+        ``proto``.  A kept frame is trimmed of Ethernet padding and
+        pulled to its L4 header.  Returns ``(ip_header, l4_ok,
+        l4_raw)`` — ``l4_ok`` is the NIC's checksum verdict, or a
+        charged software verify when rx offload is off, and ``l4_raw``
+        the ``l4_header_len`` L4 header bytes for the transport to
+        unpack — or None for a dropped frame.
         """
         self.costs.charge_driver_rx(ctx)
         if pkt.data_len < _L4_START + l4_header_len:
             pkt.release()
             return None
-        raw = pkt.payload_slice(0, _L4_START + l4_header_len)
-        if raw[ETH_HEADER_LEN - 2:ETH_HEADER_LEN] != _ETHERTYPE_IPV4_BYTES:
+        if head[ETH_HEADER_LEN - 2:ETH_HEADER_LEN] != _ETHERTYPE_IPV4_BYTES:
             pkt.release()
             return None
         pkt.l2_off = pkt.data_off
         pkt.pull(ETH_HEADER_LEN)
         self.costs.charge_ip_rx(ctx)
-        raw_ip = raw[ETH_HEADER_LEN:_L4_START]
+        raw_ip = head[ETH_HEADER_LEN:_L4_START]
         try:
             ip_header = IPv4Header.unpack(raw_ip)
         except ValueError:
@@ -369,7 +375,7 @@ class NetworkStack:
             pkt.trim(ip_header.total_len)
         pkt.l3_off = pkt.data_off
         pkt.pull(IPV4_HEADER_LEN)
-        l4_raw = raw[_L4_START:]
+        l4_raw = head[_L4_START:_L4_START + l4_header_len]
         if pkt.csum_verified or (pkt.wire_csum is not None and
                                  self.host.nic.features.rx_csum_offload):
             return ip_header, pkt.csum_verified, l4_raw
@@ -378,10 +384,11 @@ class NetworkStack:
         _position, stored, computed = l4_csum_info(frame)
         return ip_header, stored == computed, l4_raw
 
-    def rx(self, pkt, ctx):
-        """Full receive processing of one frame (run-to-completion)."""
+    def rx(self, pkt, head, ctx):
+        """Full receive processing of one frame (run-to-completion);
+        ``head`` as for :meth:`ip_input`."""
         self.stats["rx_packets"] += 1
-        verdict = self.ip_input(pkt, ctx, IPPROTO_TCP, TCP_HEADER_LEN)
+        verdict = self.ip_input(pkt, head, ctx, IPPROTO_TCP, TCP_HEADER_LEN)
         if verdict is None:
             return
         ip_header, csum_ok, raw_tcp = verdict
@@ -460,18 +467,21 @@ class NetworkStack:
                           ip_header.src, NULL_CONTEXT)
         self._pending_tx.append((pkt, ip_header.src))
 
-    def core_for_packet(self, pkt):
-        """RSS: an existing connection's packets go to its core."""
+    def core_for_packet(self, head):
+        """RSS: an existing connection's packets go to its core.
+
+        ``head`` is the frame's first bytes, as :meth:`ip_input` takes
+        them.
+        """
         cpus = self.host.cpus
-        if len(cpus) == 1 or \
-                pkt.data_len < ETH_HEADER_LEN + IPV4_HEADER_LEN + TCP_HEADER_LEN:
+        if len(cpus) == 1 or len(head) < _L4_START + TCP_HEADER_LEN:
             return cpus[0]
-        raw = pkt.payload_slice(ETH_HEADER_LEN, IPV4_HEADER_LEN + 13)
         # A malformed version or data-offset nibble can't be steered;
         # rx() will drop the frame.
-        if raw[0] >> 4 != 4 or raw[IPV4_HEADER_LEN + 12] >> 4 < 5:
+        if head[ETH_HEADER_LEN] >> 4 != 4 or head[_L4_START + 12] >> 4 < 5:
             return cpus[0]
-        src, dst, src_port, dst_port = _RSS_TUPLE.unpack_from(raw, 12)
+        src, dst, src_port, dst_port = _RSS_TUPLE.unpack_from(
+            head, ETH_HEADER_LEN + 12)
         conn = self._connections.get((dst, dst_port, src, src_port))
         return conn.core if conn is not None else cpus[0]
 
@@ -539,12 +549,11 @@ class Host:
 
     # -- execution discipline ------------------------------------------------
 
-    def _transport_for(self, pkt):
+    def _transport_for(self, head):
         """Demux by IP protocol: Homa packets bypass the TCP stack."""
-        if self.homa is not None and pkt.data_len > ETH_HEADER_LEN + 9:
-            proto = pkt.payload_slice(ETH_HEADER_LEN + 9, 1)[0]
-            if proto == IPPROTO_HOMA:
-                return self.homa
+        if self.homa is not None and len(head) > _IP_PROTO_OFF \
+                and head[_IP_PROTO_OFF] == IPPROTO_HOMA:
+            return self.homa
         return self.stack
 
     def kill(self):
@@ -565,10 +574,14 @@ class Host:
             # NIC already allocated so the pool itself stays coherent.
             pkt.release()
             return
-        transport = self._transport_for(pkt)
-        core = transport.core_for_packet(pkt)
+        # The headers every receive step reads, read once: demux,
+        # steering and the front half all take these bytes.
+        head = pkt.payload_slice(0, min(pkt.data_len, _RX_HEAD_LEN))
+        transport = self._transport_for(head)
+        core = transport.core_for_packet(head)
         start = self.sim.now if self.busy_poll else self.sim.now + self.irq_latency_ns
-        self.process_on_core(core, lambda ctx: transport.rx(pkt, ctx), start=start)
+        self.process_on_core(core, lambda ctx: transport.rx(pkt, head, ctx),
+                             start=start)
 
     def process_on_core(self, core, fn, start=None):
         """Run ``fn(ctx)`` run-to-completion on ``core``.
@@ -584,14 +597,17 @@ class Host:
         ctx = ExecutionContext()
         hooks_before = len(self._completion_hooks)
         fn(ctx)
-        self.accounting.merge(ctx)
         out_packets = self.stack.drain_tx()
         if self.homa is not None:
             out_packets.extend(self.homa.drain_tx())
         hooks = self._completion_hooks[hooks_before:]
         del self._completion_hooks[hooks_before:]
         t_end = core.execute(start if start is not None else self.sim.now, ctx.elapsed)
-        if self.recorder is not None:
+        # The recorder folds the slice into the accounting in the same
+        # pass as its counters.
+        if self.recorder is None:
+            self.accounting.merge(ctx)
+        else:
             self.recorder.record_slice(self, core, ctx, t_end)
         for pkt, dst_ip in out_packets:
             self.sim.at(t_end, self.nic.transmit, pkt, dst_ip)

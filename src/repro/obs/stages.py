@@ -49,12 +49,13 @@ _PREFIXES = (
 )
 
 #: category -> stage memo; grows to the handful of categories in use.
-_MEMO = dict(_EXACT)
+#: Per-charge loops read it first and call :func:`classify` on a miss.
+STAGE_OF = dict(_EXACT)
 
 
 def classify(category):
     """Stage class for one charge category."""
-    stage = _MEMO.get(category)
+    stage = STAGE_OF.get(category)
     if stage is not None:
         return stage
     stage = STAGE_OTHER
@@ -62,7 +63,7 @@ def classify(category):
         if category.startswith(prefix):
             stage = candidate
             break
-    _MEMO[category] = stage
+    STAGE_OF[category] = stage
     return stage
 
 

@@ -44,7 +44,7 @@ one RTT sample).
 from collections import deque
 
 from repro.obs.registry import MetricsRegistry
-from repro.obs.stages import STAGES, classify
+from repro.obs.stages import STAGE_OF, STAGES, classify
 from repro.obs.tdigest import TDigest, merged
 
 #: Ring-buffer capacity when the caller does not choose one.
@@ -53,6 +53,11 @@ DEFAULT_TRACE_CAPACITY = 1024
 #: RPC chains remembered for span linking before the oldest quarter is
 #: evicted (mirrors the transport's completed-RPC dedup memory).
 RPC_CHAIN_MEMORY = 65536
+
+
+def _negative(name, amount):
+    """Raise what :meth:`Counter.inc` raises for a negative amount."""
+    raise ValueError(f"counter {name}: negative increment {amount}")
 
 
 class Span:
@@ -149,6 +154,8 @@ class _HostHandles:
     def __init__(self, registry, role):
         self.role = role
         self.stage = {s: registry.counter(f"{role}.stage.{s}_ns") for s in STAGES}
+        #: category -> (its counter, its stage's counter), made on the
+        #: category's first nonzero charge.
         self.category = {}
         self.slices = registry.counter(f"{role}.slices")
         self.slice_ns = registry.counter(f"{role}.slice_ns")
@@ -543,32 +550,52 @@ class Recorder:
     # -- hot-path hooks --------------------------------------------------------
 
     def record_slice(self, host, core, ctx, t_end):
-        """Fold one completed processing slice into the registry."""
+        """Fold one completed processing slice into ``host.accounting``
+        and the registry.
+
+        One pass over the slice's charges does both: the accounting
+        sums exactly as :meth:`ExecutionContext.merge` would (a slice's
+        context keeps no charge trace), and each nonzero charge goes to
+        its category's and its stage's counter, with the check on
+        negative amounts that :meth:`Counter.inc` makes.
+        """
+        accounting = host.accounting
         handles = self._hosts.get(host)
         if handles is None:
+            accounting.merge(ctx)
             return
-        handles.slices.inc()
         elapsed = ctx.elapsed
-        if elapsed:
-            handles.slice_ns.inc(elapsed)
-        categories = handles.category
-        stage_counters = handles.stage
+        accounting.elapsed += elapsed
+        handles.slices.value += 1.0
+        if elapsed <= 0:
+            if elapsed < 0:
+                _negative(handles.slice_ns.name, elapsed)
+        else:
+            handles.slice_ns.value += elapsed
+        totals = accounting.by_category
+        pairs = handles.category
         for category, ns in ctx.by_category.items():
-            if not ns:
+            totals[category] = totals.get(category, 0.0) + ns
+            if ns <= 0:
+                if ns < 0:
+                    _negative(f"{handles.role}.cat.{category}_ns", ns)
                 continue
-            counter = categories.get(category)
-            if counter is None:
-                counter = self.registry.counter(
-                    f"{handles.role}.cat.{category}_ns"
+            pair = pairs.get(category)
+            if pair is None:
+                pair = pairs[category] = (
+                    self.registry.counter(f"{handles.role}.cat.{category}_ns"),
+                    handles.stage[classify(category)],
                 )
-                categories[category] = counter
-            counter.inc(ns)
-            stage_counters[classify(category)].inc(ns)
+            counter, stage_counter = pair
+            counter.value += ns
+            stage_counter.value += ns
 
     def record_wire(self, ns):
         """One frame's time on the wire (serialisation + queueing + hops)."""
-        self._wire_frames.inc()
-        self._wire_ns.inc(ns)
+        if ns < 0:
+            _negative(self._wire_ns.name, ns)
+        self._wire_frames.value += 1.0
+        self._wire_ns.value += ns
 
     def request_begin(self, ctx):
         """Mark the dispatch layer picking up a request in ``ctx``.
@@ -598,11 +625,11 @@ class Recorder:
             self._span_consumed = {}
             self._span_elapsed = 0.0
         consumed = self._span_consumed
-        stages = {stage: 0.0 for stage in STAGES}
+        stages = dict.fromkeys(STAGES, 0.0)
         for category, ns in ctx.by_category.items():
             delta = ns - consumed.get(category, 0.0)
             if delta > 0:
-                stages[classify(category)] += delta
+                stages[STAGE_OF.get(category) or classify(category)] += delta
         total_ns = max(0.0, ctx.elapsed - self._span_elapsed)
         self._span_ctx = ctx
         self._span_consumed = dict(ctx.by_category)
@@ -625,26 +652,30 @@ class Recorder:
         self.ring.append(Span(kind, status, core, t_end, total_ns, stages,
                               span_id=span_id, rpc_id=rpc_id,
                               retransmits=retransmits, links=links))
-        self._requests.inc()
+        self._requests.value += 1.0
         self._request_ns.observe(total_ns)
         core_digest = self._core_digests.get(core)
         if core_digest is None:
             core_digest = TDigest()
             self._core_digests[core] = core_digest
         core_digest.add(total_ns)
+        request_stage = self._request_stage
         for stage, ns in stages.items():
-            if ns:
-                self._request_stage[stage].inc(ns)
+            if ns <= 0:
+                if ns < 0:
+                    _negative(request_stage[stage].name, ns)
+                continue
+            request_stage[stage].value += ns
         kind_counter = self._kind_counters.get(kind)
         if kind_counter is None:
             kind_counter = self.registry.counter(f"server.requests.{kind}")
             self._kind_counters[kind] = kind_counter
-        kind_counter.inc()
+        kind_counter.value += 1.0
         status_counter = self._status_counters.get(status)
         if status_counter is None:
             status_counter = self.registry.counter(f"server.status.{status}")
             self._status_counters[status] = status_counter
-        status_counter.inc()
+        status_counter.value += 1.0
 
     def client_request(self, kind, status, rtt_ns, core=-1, rpc_id=None):
         """Client-side attribution: one completed request as the load
@@ -653,7 +684,7 @@ class Recorder:
         sample (with its retry waits included and its retransmit count
         on the span) — never one sample per attempt.
         """
-        self._client_requests.inc()
+        self._client_requests.value += 1.0
         self._client_rtt.observe(rtt_ns)
         t_end = self.sim.now if self.sim is not None else 0.0
         span_id = self._next_span_id()
@@ -741,9 +772,9 @@ class Recorder:
         ):
             total = 0.0
             for handles in self._hosts.values():
-                counter = handles.category.get(category)
-                if counter is not None:
-                    total += counter.value
+                pair = handles.category.get(category)
+                if pair is not None:
+                    total += pair[0].value
             rows[row] = total / n
         rows["total"] = (
             rows["networking"] + rows["datamgmt"]

@@ -33,10 +33,7 @@ class ExecutionContext:
             raise ValueError(f"negative charge: {ns}")
         self.elapsed += ns
         by_category = self.by_category
-        if category in by_category:
-            by_category[category] += ns
-        else:
-            by_category[category] = 0.0 + ns
+        by_category[category] = by_category.get(category, 0.0) + ns
         if self.trace is not None:
             self.trace.append((category, ns))
         return ns
@@ -50,10 +47,7 @@ class ExecutionContext:
         self.elapsed += other.elapsed
         by_category = self.by_category
         for key, value in other.by_category.items():
-            if key in by_category:
-                by_category[key] += value
-            else:
-                by_category[key] = 0.0 + value
+            by_category[key] = by_category.get(key, 0.0) + value
         if self.trace is not None and other.trace is not None:
             self.trace.extend(other.trace)
 

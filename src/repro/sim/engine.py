@@ -16,21 +16,19 @@ benchmark, see docs/PERFORMANCE.md):
 
 - The heap holds ``(time, seq, event)`` tuples, so heap sifting
   compares tuples at C speed instead of calling ``Event.__lt__``.
-- :meth:`run` drains *runs* of same-timestamp events in one batch:
-  the contiguous run at the head of the heap is popped once, then
-  fired in seq order without re-consulting the heap.  Events a batch
-  member schedules at the same instant get higher seqs than the whole
-  drained run, so firing them after the batch preserves the
-  (time, seq) order exactly.  Cancellation is honoured at fire time,
-  and an early exit (``stop()``/``max_events``) pushes unfired batch
-  members back, so an interrupted run leaves the queue as if events
-  had been popped one at a time.
+- :meth:`run` pops one event at a time and fires it before looking at
+  the heap again.  An event past ``until`` is pushed back, so a run
+  that stops for any reason — ``until``, ``stop()``, ``max_events`` or
+  a handler raising — leaves every unfired event in the queue.
 - Watcher notification is skipped entirely while no watchers are
   registered (the common case for benchmarks).
 """
 
 import heapq
 import itertools
+
+#: ``until``/``max_events`` bound of a run that has none.
+_NEVER = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -169,52 +167,33 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         self._stop_requested = False
-        stopped = False
         fired = 0
         queue = self._queue
         heappop = heapq.heappop
-        heappush = heapq.heappush
         watchers = self._watchers  # aliased list: add/remove mutate in place
+        horizon = _NEVER if until is None else until
+        limit = _NEVER if max_events is None else max_events
         try:
-            while queue:
-                if max_events is not None and fired >= max_events:
-                    break
-                head = queue[0]
-                if head[2].cancelled:
-                    heappop(queue)
+            while queue and fired < limit:
+                entry = heappop(queue)
+                time, _seq, event = entry
+                if event.cancelled:
                     continue
-                now = head[0]
-                if until is not None and now > until:
+                if time > horizon:
+                    heapq.heappush(queue, entry)
                     break
-                # Drain the whole same-timestamp run at the heap head in
-                # one go; see the module docstring for why this is safe.
-                batch = [heappop(queue)]
-                while queue and queue[0][0] == now:
-                    batch.append(heappop(queue))
-                self.now = now
-                for index, entry in enumerate(batch):
-                    event = entry[2]
-                    if event.cancelled:
-                        continue
-                    if max_events is not None and fired >= max_events:
-                        for leftover in batch[index:]:
-                            heappush(queue, leftover)
-                        break
-                    self._events_fired += 1
-                    event.fn(*event.args)
-                    fired += 1
-                    if watchers:
-                        for watcher in watchers:
-                            watcher(event)
-                    if self._stop_requested:
-                        stopped = True
-                        for leftover in batch[index + 1:]:
-                            heappush(queue, leftover)
-                        break
-                if stopped:
+                self.now = time
+                self._events_fired += 1
+                event.fn(*event.args)
+                fired += 1
+                if watchers:
+                    for watcher in watchers:
+                        watcher(event)
+                if self._stop_requested:
                     break
         finally:
             self._running = False
+            stopped = self._stop_requested
             self._stop_requested = False
         if until is not None and self.now < until and not stopped:
             self.now = until

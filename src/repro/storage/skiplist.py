@@ -180,7 +180,8 @@ class PersistentSkipList:
         from the device image, bounds-checked against the region first
         (raising from ``Region._check`` like the
         :class:`~repro.pm.device.Region` accessors).  The target's order
-        key comes from the volatile ``_orders`` map; on a miss
+        key comes from the volatile ``_orders`` map; on a miss, or when
+        the map is empty (the packet store never fills it),
         ``_order_at`` decodes it, and rejects a bad link by raising.
 
         Cache model: level 0 is always cold (every node there is unique
@@ -196,8 +197,10 @@ class PersistentSkipList:
         read_next = NEXT.unpack_from
         stride = self.LINK_STRIDE
         link_base = self.LINK_BASE
-        orders = self._orders
         order_at = self._order_at
+        # A miss in the map falls back to ``order_at``; with the map
+        # empty, every probe would miss, so read the node straight off.
+        lookup = self._orders.get if self._orders else order_at
         category = INSERT_CATEGORY
         cold_levels = self.cold_levels
         cold_ns = region.device.access_ns
@@ -216,7 +219,7 @@ class PersistentSkipList:
                 nxt = read_next(data, base + link)[0]
                 if not nxt:
                     break
-                order = orders.get(nxt)
+                order = lookup(nxt)
                 if order is None:
                     order = order_at(nxt)
                 if order < order_key:

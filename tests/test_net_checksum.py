@@ -37,8 +37,11 @@ def bitwise_crc32c(data, seed=0):
 
 
 def _crc_lengths():
-    """Every length to 300, both sides of each fold width, 4 KB, 64 KB+1."""
-    lengths = set(range(301)) | {4096, (64 << 10) + 1}
+    """Every length to 300, both sides of the word-loop threshold and of
+    each fold width, 4 KB, 64 KB+1."""
+    short = checksum._SHORT
+    lengths = set(range(301)) | {4096, (64 << 10) + 1,
+                                 short - 1, short, short + 1}
     for width_bits, _shifts in checksum._FOLDS:
         width = width_bits // 8
         if width <= (64 << 10) + 2:

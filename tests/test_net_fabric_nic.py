@@ -160,6 +160,17 @@ class TestNic:
         host.nic.on_wire(_tcp_frame())
         assert host.nic.stats["rx_dropped_nobuf"] == 1
 
+    def test_other_rx_alloc_errors_propagate(self, monkeypatch):
+        sim, host = self.make_host()
+
+        def broken_alloc():
+            raise RuntimeError("pool bookkeeping broke")
+
+        monkeypatch.setattr(host.rx_pool, "alloc", broken_alloc)
+        with pytest.raises(RuntimeError, match="pool bookkeeping broke"):
+            host.nic.on_wire(_tcp_frame())
+        assert host.nic.stats["rx_dropped_nobuf"] == 0
+
     def test_a_frame_shorter_than_its_headers_is_malformed(self):
         sim, host = self.make_host()
         frame = bytearray(_tcp_frame())

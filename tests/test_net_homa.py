@@ -317,6 +317,8 @@ class TestSoftwareChecksumPath:
          size=20_000, rx_offload=False)
 @example(seed=0, loss=0.0625, reorder=0.03125, duplicate=0.0, corrupt=0.0625,
          size=18_713, rx_offload=True)  # a lost GRANT stalls the reply
+@example(seed=43, loss=0.1875, reorder=0.0, duplicate=0.0625, corrupt=0.0,
+         size=12_905, rx_offload=False)  # a RESEND crosses a grant cut
 def test_property_rpc_delivers_exactly_or_gives_up_cleanly(
     seed, loss, reorder, duplicate, corrupt, size, rx_offload
 ):

@@ -133,3 +133,21 @@ def test_pending_excludes_cancelled():
     event = sim.schedule(2, lambda: None)
     event.cancel()
     assert sim.pending() == 1
+
+
+def test_a_raising_handler_leaves_the_rest_of_its_instant_queued():
+    sim = Simulator()
+    fired = []
+
+    def boom():
+        raise RuntimeError("handler failed")
+
+    sim.schedule(5, boom)
+    sim.schedule(5, fired.append, "b")
+    sim.schedule(5, fired.append, "c")
+    with pytest.raises(RuntimeError, match="handler failed"):
+        sim.run()
+    assert sim.pending() == 2
+    assert sim.events_fired == 1
+    assert sim.run() == 2
+    assert fired == ["b", "c"]

@@ -1,15 +1,15 @@
-"""Property tests: batch event dispatch == naive single-pop dispatch.
+"""Property tests: ``Simulator`` dispatch == a reference single-pop loop.
 
-``Simulator.run`` drains same-timestamp runs in one batch (see
-repro/sim/engine.py).  That is only a speedup if it is *unobservable*:
-for any interleaving of scheduling, cancellation, watchers, ``stop()``
-and ``max_events``, the fired sequence, watcher notifications, clock,
-and leftover queue must match what the naive one-pop-at-a-time loop
-produces.  This file checks exactly that against a reference
-implementation with Hypothesis-generated event programs whose events
-schedule, cancel, and stop from inside their own handlers — including
-events scheduled at the *current* instant, the case batching is most
-likely to get wrong.
+``Simulator.run`` (repro/sim/engine.py) is the wall-clock hot loop, so
+it is written for speed: one heap pop per event, the ``until`` and
+``max_events`` bounds hoisted out of the loop, an event past ``until``
+pushed back.  For any interleaving of scheduling, cancellation,
+watchers, ``stop()`` and ``max_events``, the fired sequence, watcher
+notifications, clock, and leftover queue must match what the plain
+peek-then-pop loop below produces.  This file checks exactly that with
+Hypothesis-generated event programs whose events schedule, cancel, and
+stop from inside their own handlers — including events scheduled at
+the *current* instant, where an ordering slip would show first.
 """
 
 import heapq
@@ -167,7 +167,8 @@ def _execute(sim, program):
 
     fired = sim.run(until=program["until"], max_events=program["max_events"])
     # A second drain exercises leftover-queue equivalence after an
-    # interrupted run (stop()/max_events push-back in the batched loop).
+    # interrupted run (stop(), max_events or an event pushed back past
+    # ``until``).
     fired += sim.run(max_events=40)
     return {
         "fired": fired,
