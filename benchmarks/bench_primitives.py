@@ -12,7 +12,8 @@ import pytest
 
 from repro.core.ppktbuf import PPktRecord
 from repro.net.checksum import crc32c, internet_checksum
-from repro.net.headers import IPv4Header, TCPHeader
+from repro.net.headers import EthernetHeader, IPv4Header, TCPHeader
+from repro.net.nic import l4_csum_info
 from repro.net.rbtree import RBTree
 from repro.pm.device import DRAMDevice
 from repro.storage.bloom import BloomFilter
@@ -41,7 +42,11 @@ def test_internet_checksum_1kb(benchmark):
 def test_tcp_checksum_compute(benchmark):
     ip = IPv4Header("10.0.0.1", "10.0.0.2", total_len=20 + 20 + len(KB))
     header = TCPHeader(40000, 80, seq=1, ack=2)
-    benchmark(header.compute_checksum, ip, KB)
+    eth = EthernetHeader("02:00:0a:00:00:02", "02:00:0a:00:00:01")
+    frame = eth.pack() + ip.pack() + header.pack() + KB
+    result = benchmark(l4_csum_info, frame)
+    # (checksum field offset, stored field, correct checksum)
+    assert result == (50, 0, 0xFA4F)
 
 
 def test_ppkt_record_encode(benchmark):

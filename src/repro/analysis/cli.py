@@ -5,11 +5,10 @@ Exit codes: 0 clean (suppressions allowed), 1 findings (or a blown
 planted-example negative checks instead of linting — CI runs it first
 so a silently broken rule cannot greenlight the tree.
 
-Every run includes the interprocedural pass (call graph + effect
-summaries, rules PM-I01 and REF-I01); pick rules with ``--select``.
-``--fix`` applies the mechanical CTX-01/SUP-01 rewrites (``--diff``
-previews without writing); ``--format sarif`` emits GitHub
-code-scanning input.
+One path per run: parse every file, run the per-module rules, build
+the whole program once, run the interprocedural rules (call graph +
+effect summaries, PM-I01 and REF-I01), report.  Pick rules with
+``--select``; ``--format sarif`` emits GitHub code-scanning input.
 """
 
 import argparse
@@ -17,8 +16,6 @@ import sys
 import time
 
 from repro.analysis import pmlint
-
-DEFAULT_CACHE = ".pmlint-cache.json"
 
 
 def _list_rules():
@@ -29,31 +26,6 @@ def _list_rules():
         if rule.hint:
             lines.append(f"    hint: {rule.hint}")
     return "\n".join(lines)
-
-
-def _run_fix(args, parser):
-    from repro.analysis import autofix
-
-    try:
-        results = autofix.fix_paths(args.paths, write=not args.diff)
-    except (FileNotFoundError, SyntaxError) as exc:
-        parser.error(str(exc))
-    applied = refused = 0
-    for result in results:
-        if args.diff and result.changed:
-            sys.stdout.write(result.unified_diff())
-        for fix in result.fixes:
-            applied += fix.applied
-            refused += not fix.applied
-            verb = "fixed" if fix.applied else "refused"
-            if fix.applied and args.diff:
-                verb = "would fix"
-            print(f"{result.path}:{fix.line}: {verb} [{fix.rule}] "
-                  f"{fix.description}")
-    mode = "previewed" if args.diff else "applied"
-    print(f"[pmlint-fix] {applied} fix(es) {mode}, {refused} refused "
-          f"across {len(results)} file(s)")
-    return 0
 
 
 def main(argv=None):
@@ -72,23 +44,10 @@ def main(argv=None):
     parser.add_argument("--self-test", action="store_true",
                         help="verify every rule detects its planted bad "
                              "example (the lint negative check)")
-    parser.add_argument("--no-hints", action="store_true",
-                        help="omit fix hints from the output")
-    parser.add_argument("--fix", action="store_true",
-                        help="apply mechanical CTX-01/SUP-01 rewrites "
-                             "instead of reporting")
-    parser.add_argument("--diff", action="store_true",
-                        help="with --fix: print unified diffs, write "
-                             "nothing")
     parser.add_argument("--format", choices=("text", "sarif"),
                         default="text", help="report format")
     parser.add_argument("--output", metavar="FILE",
                         help="write the report there instead of stdout")
-    parser.add_argument("--cache", metavar="PATH", default=DEFAULT_CACHE,
-                        help="summary-cache file for the interprocedural "
-                             f"pass (default: {DEFAULT_CACHE})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the summary cache")
     parser.add_argument("--max-seconds", type=float, metavar="N",
                         help="fail (exit 1) if the lint run takes longer — "
                              "the CI wall-clock budget assertion")
@@ -108,14 +67,8 @@ def main(argv=None):
               file=sys.stderr)
         return 1
 
-    if args.diff and not args.fix:
-        parser.error("--diff only makes sense with --fix")
-
     if not args.paths:
         parser.error("no paths given (try: repro-lint src/repro)")
-
-    if args.fix:
-        return _run_fix(args, parser)
 
     select = None
     if args.select:
@@ -124,12 +77,9 @@ def main(argv=None):
         if unknown:
             parser.error(f"unknown rule id(s): {', '.join(sorted(unknown))}")
 
-    cache_path = None if args.no_cache else args.cache
     started = time.monotonic()  # pmlint: disable=DET-01 — the --max-seconds CI budget measures real wall-clock by design
     try:
-        report = pmlint.run_lint(
-            args.paths, select=select, cache_path=cache_path,
-        )
+        report = pmlint.run_lint(args.paths, select=select)
     except (FileNotFoundError, SyntaxError) as exc:
         parser.error(str(exc))
     elapsed = time.monotonic() - started  # pmlint: disable=DET-01 — same wall-clock budget measurement as above

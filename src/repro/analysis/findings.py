@@ -48,12 +48,12 @@ class Finding:
             return str(self.path)
         return f"{self.path}:{self.line}"
 
-    def format(self, show_hint=True):
+    def format(self):
         tag = {"error": "E", "warn": "W", "perf": "P"}[self.severity]
         head = f"{self.location}: {tag}:{self.rule}: {self.message}"
         if self.suppressed:
             head += f"  [suppressed: {self.reason}]"
-        if show_hint and self.hint and not self.suppressed:
+        if self.hint and not self.suppressed:
             head += f"\n    hint: {self.hint}"
         return head
 

@@ -48,16 +48,12 @@ This module answers both with whole-program reasoning:
      that on some normal-or-exception exit path is neither released
      (directly or through a releasing callee) nor escapes to an owner.
 
-Summaries are cached per file, keyed by a hash of the source
-(:class:`SummaryCache`), so a warm full-tree run re-extracts nothing;
-the propagation step is recomputed every run because it is cross-file
-and cheap.
+Every run extracts each function's local facts from its source, then
+builds the call graph and solves the summaries over the whole program;
+nothing is stored between runs.
 """
 
 import ast
-import hashlib
-import json
-import os
 
 from repro.analysis.pmlint import arg_names, dotted_name, is_io_receiver
 
@@ -153,7 +149,7 @@ def _walk_defs(tree):
 
 
 # --------------------------------------------------------------------------
-# local facts (per-function, cacheable)
+# local facts (per-function)
 # --------------------------------------------------------------------------
 
 
@@ -173,15 +169,6 @@ class _Event:
         self.what = what
         self.callee = callee
 
-    def to_doc(self):
-        return [self.kind, self.line, self.what,
-                list(self.callee) if self.callee else None]
-
-    @classmethod
-    def from_doc(cls, doc):
-        callee = tuple(doc[3]) if doc[3] else None
-        return cls(doc[0], doc[1], doc[2], callee)
-
 
 class Acquisition:
     """One local refcount acquisition and its (textual-path) fate."""
@@ -198,22 +185,12 @@ class Acquisition:
         self.guarded = False       # acquire sits inside a try body
         self.settle_line = None    # first release/escape line after acquire
 
-    def to_doc(self):
-        return [self.line, self.what, self.var, self.released,
-                self.escaped, self.guarded, self.settle_line]
-
-    @classmethod
-    def from_doc(cls, doc):
-        out = cls(doc[0], doc[1], doc[2])
-        out.released, out.escaped, out.guarded, out.settle_line = doc[3:7]
-        return out
-
 
 class LocalFacts:
     """Everything extractable from one function body in isolation.
 
-    This is the unit the :class:`SummaryCache` stores: it depends only
-    on the function's own source, never on other files.
+    It depends only on the function's own source, never on other files;
+    :class:`Program` interprets it against the whole program.
     """
 
     __slots__ = ("events", "acquisitions", "releases_params",
@@ -231,39 +208,6 @@ class LocalFacts:
         self.calls = []
         self.fence_param = None
         self.fence_default = None
-
-    def to_doc(self):
-        return {
-            "events": [e.to_doc() for e in self.events],
-            "acquisitions": [a.to_doc() for a in self.acquisitions],
-            "releases_params": sorted(self.releases_params),
-            "stores_params": sorted(self.stores_params),
-            "raises": self.raises,
-            "calls": [[c[0], c[1], c[2], c[3], list(c[4]),
-                       [list(kv) for kv in c[5]], c[6]]
-                      for c in self.calls],
-            "fence_param": self.fence_param,
-            "fence_default": self.fence_default,
-        }
-
-    @classmethod
-    def from_doc(cls, doc):
-        out = cls()
-        out.events = [_Event.from_doc(e) for e in doc["events"]]
-        out.acquisitions = [Acquisition.from_doc(a)
-                            for a in doc["acquisitions"]]
-        out.releases_params = set(doc["releases_params"])
-        out.stores_params = set(doc["stores_params"])
-        out.raises = doc["raises"]
-        out.calls = [(c[0], c[1], c[2],
-                      None if c[3] is None else c[3],
-                      tuple(c[4]),
-                      tuple((kv[0], kv[1]) for kv in c[5]),
-                      c[6])
-                     for c in doc["calls"]]
-        out.fence_param = doc["fence_param"]
-        out.fence_default = doc["fence_default"]
-        return out
 
 
 def _own_calls(func_node):
@@ -576,70 +520,10 @@ class FunctionInfo:
         return f"<FunctionInfo {self.key}>"
 
 
-class SummaryCache:
-    """File-backed per-module LocalFacts cache keyed by source hash.
-
-    The cache only ever stores *local* facts — everything derivable
-    from one file alone — so a stale entry can never survive a source
-    edit (the hash moves) and cross-file effects are re-propagated on
-    every run regardless.
-    """
-
-    VERSION = "pmlint-summaries/v3"
-
-    def __init__(self, path):
-        self.path = path
-        self.hits = 0
-        self.misses = 0
-        self._dirty = False
-        self._entries = {}
-        if path and os.path.exists(path):
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    doc = json.load(handle)
-                if doc.get("version") == self.VERSION:
-                    self._entries = doc.get("files", {})
-            except (OSError, ValueError):
-                self._entries = {}
-
-    def lookup(self, module_path, source_hash):
-        entry = self._entries.get(str(module_path))
-        if entry is None or entry.get("hash") != source_hash:
-            self.misses += 1
-            return None
-        self.hits += 1
-        try:
-            return {qualname: LocalFacts.from_doc(doc)
-                    for qualname, doc in entry["facts"].items()}
-        except (KeyError, IndexError, TypeError):
-            self.misses += 1
-            self.hits -= 1
-            return None
-
-    def store(self, module_path, source_hash, facts_by_qualname):
-        self._entries[str(module_path)] = {
-            "hash": source_hash,
-            "facts": {qualname: facts.to_doc()
-                      for qualname, facts in facts_by_qualname.items()},
-        }
-        self._dirty = True
-
-    def save(self):
-        if not (self.path and self._dirty):
-            return
-        try:
-            with open(self.path, "w", encoding="utf-8") as handle:
-                json.dump({"version": self.VERSION, "files": self._entries},
-                          handle)
-            self._dirty = False
-        except OSError:
-            pass  # caching is best-effort; linting must not fail on it
-
-
 class Program:
     """Whole-program index, call graph, and solved summaries."""
 
-    def __init__(self, modules, cache=None):
+    def __init__(self, modules):
         self.modules = list(modules)
         self.functions = {}
         self.by_name = {}
@@ -651,20 +535,14 @@ class Program:
         self.summaries = {}
         self.callers = {}
         self._resolve_memo = {}
-        self._index(cache)
+        self._index()
         self._build_edges()
         self.solve()
-        if cache is not None:
-            cache.save()
 
     # ------------------------------------------------------------- indexing
 
-    def _index(self, cache):
+    def _index(self):
         for module in self.modules:
-            source_hash = hashlib.sha256(
-                module.source.encode("utf-8")).hexdigest()
-            cached = cache.lookup(module.path, source_hash) if cache else None
-            fresh = {}
             for node, qualname, class_name in _walk_defs(module.tree):
                 info = FunctionInfo(node, module, qualname, class_name)
                 self.functions[info.key] = info
@@ -674,14 +552,7 @@ class Program:
                 else:
                     self.module_funcs.setdefault(
                         (module.path, info.name), info)
-                if cached is not None and qualname in cached:
-                    self.local_facts[info.key] = cached[qualname]
-                else:
-                    facts = extract_local_facts(node)
-                    self.local_facts[info.key] = facts
-                    fresh[qualname] = facts
-            if cache is not None and cached is None:
-                cache.store(module.path, source_hash, fresh)
+                self.local_facts[info.key] = extract_local_facts(node)
             for node in ast.walk(module.tree):
                 if isinstance(node, ast.ClassDef):
                     self.class_bases[node.name] = [

@@ -58,7 +58,6 @@ class ModuleSource:
 
     def __init__(self, path, source, display_path=None):
         self.path = display_path or path
-        self.source = source
         self.tree = ast.parse(source, filename=self.path)
         self.lines = source.splitlines()
         #: target line -> [Suppression]; file-wide entries under key None.
@@ -240,12 +239,11 @@ def lint_module(module, select=None):
     return found
 
 
-def lint_program(modules, select=None, cache_path=None):
+def lint_program(modules, select=None):
     """Run the whole-program rules once over all parsed modules."""
-    from repro.analysis.interproc import Program, SummaryCache
+    from repro.analysis.interproc import Program
 
-    cache = SummaryCache(cache_path) if cache_path else None
-    program = Program(modules, cache=cache)
+    program = Program(modules)
     found = []
     for rule in iter_rules(select):
         if rule.interprocedural:
@@ -268,12 +266,11 @@ def collect_files(paths):
     return sorted(set(files))
 
 
-def run_lint(paths, select=None, root=None, cache_path=None):
+def run_lint(paths, select=None, root=None):
     """Lint files/directories; returns an :class:`AnalysisReport`.
 
     After the per-module rules, builds the whole-program call graph and
-    runs the interprocedural rules (PM-I01/REF-I01); ``cache_path``
-    names the per-file summary cache.
+    runs the interprocedural rules (PM-I01/REF-I01).
     """
     report = AnalysisReport(tool="pmlint")
     modules = []
@@ -283,8 +280,7 @@ def run_lint(paths, select=None, root=None, cache_path=None):
         report.extend(lint_module(module, select))
         report.files_checked += 1
     if modules:
-        found, _program = lint_program(modules, select,
-                                       cache_path=cache_path)
+        found, _program = lint_program(modules, select)
         report.extend(found)
     return report
 

@@ -138,18 +138,6 @@ class IPv4Header:
             total = (total & 0xFFFF) + (total >> 16)
         return total == 0xFFFF
 
-    def pseudo_header_sum(self, tcp_len):
-        """One's-complement partial sum of the TCP pseudo-header.
-
-        Computed arithmetically: the pseudo-header's 16-bit words are
-        the halves of src and dst, (zero << 8 | proto), and tcp_len —
-        identical to summing the packed 12 bytes.
-        """
-        src = self.src
-        dst = self.dst
-        return ((src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
-                + self.proto + tcp_len)
-
     def __repr__(self):
         return f"<IPv4 {int_to_ip(self.src)}→{int_to_ip(self.dst)} len={self.total_len}>"
 
@@ -195,33 +183,6 @@ class TCPHeader:
         header.checksum = checksum
         header.urgent = urgent
         return header
-
-    def compute_checksum(self, ip_header, payload):
-        """TCP checksum over pseudo-header + header + payload.
-
-        The stack computes and verifies L4 checksums with
-        :func:`repro.net.nic.l4_csum_info`; this and
-        :meth:`verify_checksum` are the independent reference the tests
-        check that reader against.
-        """
-        self.checksum = 0
-        partial = ip_header.pseudo_header_sum(TCP_HEADER_LEN + len(payload))
-        partial = checksum_partial(self.pack(), partial)
-        partial = checksum_partial(payload, partial)
-        self.checksum = checksum_finish(partial)
-        return self.checksum
-
-    def verify_checksum(self, ip_header, payload):
-        """True iff the embedded checksum matches pseudo-header + payload."""
-        stored = self.checksum
-        self.checksum = 0
-        try:
-            partial = ip_header.pseudo_header_sum(TCP_HEADER_LEN + len(payload))
-            partial = checksum_partial(self.pack(), partial)
-            partial = checksum_partial(payload, partial)
-            return checksum_finish(partial) == stored
-        finally:
-            self.checksum = stored
 
     def flag_names(self):
         names = []

@@ -3,17 +3,16 @@
 The planted bugs here mirror the acceptance criteria: a two-hop
 fence-domination chain (the flush in a grandchild, no fence anywhere up
 the chain) and an exception-path refcount leak (a may-raise callee
-between the alloc and the release).  The summary cache is pinned by a
-hypothesis property: a warm-cache run must report exactly the findings
-of a cold run.  The ``# pmlint: disable=`` marker is spelled split so
-the linter never reads these tests as control comments.
+between the alloc and the release).  A directory run is pinned to the
+exact cross-file findings of a small on-disk tree.  The
+``# pmlint: disable=`` marker is spelled split so the linter never
+reads these tests as control comments.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.analysis import pmlint
-from repro.analysis.interproc import Program, SummaryCache
+from repro.analysis.interproc import Program
 
 SCOPED_PATH = "src/repro/net/_virtual.py"
 DISABLE = "# pmlint" ": disable"
@@ -284,37 +283,18 @@ def _finding_keys(report):
                   for f in report.findings)
 
 
-class TestSummaryCache:
-    @settings(max_examples=12, deadline=None)
-    @given(fence_top=st.booleans(), leak=st.booleans())
-    def test_warm_cache_findings_equal_cold_run(self, tmp_path_factory,
-                                                fence_top, leak):
-        base = tmp_path_factory.mktemp("net")
-        _write_tree(base, fence_top, leak)
-        cache = base / "cache.json"
-        cold = pmlint.run_lint([str(base)], cache_path=str(cache))
-        assert cache.exists()
-        warm = pmlint.run_lint([str(base)], cache_path=str(cache))
-        assert _finding_keys(cold) == _finding_keys(warm)
-
-    def test_source_change_invalidates_entry(self, tmp_path):
-        _write_tree(tmp_path, fence_top=False, leak=False)
-        cache = tmp_path / "cache.json"
-        first = pmlint.run_lint([str(tmp_path)], cache_path=str(cache))
-        assert ("PM-I01", "_h.py", 3) in _finding_keys(first)
-        # Fix the chain; the stale cached summary must not resurrect it.
-        caller = (tmp_path / "net" / "_c.py").read_text()
-        (tmp_path / "net" / "_c.py").write_text(
-            caller + "    region.fence(ctx)\n")
-        second = pmlint.run_lint([str(tmp_path)], cache_path=str(cache))
-        assert "PM-I01" not in {rule for rule, _, _ in _finding_keys(second)}
-
-    def test_corrupt_cache_is_a_miss_not_a_crash(self, tmp_path):
-        _write_tree(tmp_path, fence_top=True, leak=True)
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json")
-        report = pmlint.run_lint([str(tmp_path)], cache_path=str(cache))
-        assert ("REF-I01", "_t.py", 2) in _finding_keys(report)
+class TestDirectoryRun:
+    @pytest.mark.parametrize("fence_top", [False, True])
+    @pytest.mark.parametrize("leak", [False, True])
+    def test_cross_file_findings_on_disk(self, tmp_path, fence_top, leak):
+        _write_tree(tmp_path, fence_top, leak)
+        expected = []
+        if not fence_top:
+            expected.append(("PM-I01", "_h.py", 3))
+        if leak:
+            expected.append(("REF-I01", "_t.py", 2))
+        report = pmlint.run_lint([str(tmp_path)])
+        assert _finding_keys(report) == sorted(expected)
 
 
 class TestTreeIsCleanInterprocedurally:

@@ -171,6 +171,16 @@ class TestCli:
         assert lint_main(["src/repro"]) == 0
         capsys.readouterr()
 
+    def test_lint_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "mod.py").write_text(
+            "def nop():\n    return 0\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert lint_main(["pkg"]) == 0
+        capsys.readouterr()
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_findings_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text(

@@ -77,7 +77,7 @@ class TestCli:
         bad.write_text(BAD)
         out = tmp_path / "report.sarif"
         assert lint_main([str(bad), "--format", "sarif",
-                          "--output", str(out), "--no-cache"]) == 1
+                          "--output", str(out)]) == 1
         capsys.readouterr()
         doc = json.loads(out.read_text())
         assert doc["version"] == "2.1.0"
@@ -87,7 +87,6 @@ class TestCli:
     def test_clean_tree_sarif_exit_zero(self, tmp_path, capsys):
         good = tmp_path / "good.py"
         good.write_text("def nop():\n    return 0\n")
-        assert lint_main([str(good), "--format", "sarif",
-                          "--no-cache"]) == 0
+        assert lint_main([str(good), "--format", "sarif"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["runs"][0]["results"] == []

@@ -25,6 +25,8 @@ from repro.net.headers import (
 from repro.net.homa import DATA, HOMA_HEADER_LEN, IPPROTO_HOMA, HomaHeader
 from repro.net.nic import l4_csum_info
 
+from tests.tcp_reference import compute_tcp_checksum
+
 
 def bitwise_crc32c(data, seed=0):
     """CRC32C straight from its definition: one register shift per bit."""
@@ -143,7 +145,7 @@ class TestL4CsumInfo:
         tcp = TCPHeader(rng.getrandbits(16), rng.getrandbits(16),
                         seq=rng.getrandbits(32), ack=rng.getrandbits(32),
                         flags=rng.getrandbits(6), window=rng.getrandbits(16))
-        expected = tcp.compute_checksum(ip, payload)
+        expected = compute_tcp_checksum(tcp, ip, payload)
         position = ETH_HEADER_LEN + IPV4_HEADER_LEN + 16
         frame = _eth_ipv4(ip.src, ip.dst, IPPROTO_TCP,
                           TCP_HEADER_LEN + len(payload)) + tcp.pack() + payload

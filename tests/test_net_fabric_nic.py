@@ -13,6 +13,7 @@ from repro.net.pktbuf import PktBuf
 from repro.net.stack import Host
 from repro.sim.engine import Simulator
 
+from tests.tcp_reference import compute_tcp_checksum
 from tests.test_tcp_transfer import (
     test_property_stream_integrity_under_arbitrary_faults as stream_property,
 )
@@ -108,7 +109,7 @@ class TestLinkFaults:
 def _tcp_frame(payload=b"data", src="10.0.0.2", dst="10.0.0.1"):
     ip = IPv4Header(src, dst, total_len=IPV4_HEADER_LEN + 20 + len(payload))
     tcp = TCPHeader(4000, 80, seq=1, ack=0, flags=0x18)
-    tcp.compute_checksum(ip, payload)
+    compute_tcp_checksum(tcp, ip, payload)
     eth = b"\x02\x00\x0a\x00\x00\x01" + b"\x02\x00\x0a\x00\x00\x02" + b"\x08\x00"
     return eth + ip.pack() + tcp.pack() + payload
 
