@@ -43,14 +43,13 @@ def register(rule_cls):
 
 
 class Suppression:
-    __slots__ = ("rules", "reason", "line", "file_wide", "used")
+    __slots__ = ("rules", "reason", "line", "file_wide")
 
     def __init__(self, rules, reason, line, file_wide):
         self.rules = rules
         self.reason = reason
         self.line = line
         self.file_wide = file_wide
-        self.used = False
 
 
 class ModuleSource:
@@ -111,7 +110,6 @@ class ModuleSource:
         for target in (line, None):
             for entry in self.suppressions.get(target, ()):
                 if rule_id in entry.rules:
-                    entry.used = True
                     return entry
         return None
 

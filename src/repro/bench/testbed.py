@@ -69,6 +69,24 @@ class Testbed:
         return self.recorder.registry if self.recorder is not None else None
 
 
+def make_server_host(sim, name, ip, fabric, pm_device, cores=1,
+                     paste_pool_bytes=PASTE_POOL_BYTES, **host_kwargs):
+    """The paper's server host on ``fabric``: busy polled, PASTE costs,
+    its rx packet pool the ``paste-pktbufs`` region of a PM namespace
+    on ``pm_device`` (a DRAM pool when ``paste_pool_bytes`` is None).
+
+    ``host_kwargs`` go to :class:`~repro.net.stack.Host` (e.g.
+    ``pool_slots``, ``nic_features``).  Returns ``(host, pm_ns)``.
+    """
+    pm_ns = PMNamespace(pm_device)
+    rx_pool_region = None
+    if paste_pool_bytes is not None:
+        rx_pool_region = pm_ns.create("paste-pktbufs", paste_pool_bytes)
+    host = Host(sim, name, ip, fabric, CostModel.paste(), cores=cores,
+                rx_pool_region=rx_pool_region, busy_poll=True, **host_kwargs)
+    return host, pm_ns
+
+
 def make_testbed(config=None, *, server_features=None, client_features=None,
                  fabric_kwargs=None, pm_bytes=PM_BYTES, paste=True,
                  pm_device=None, paste_pool_bytes=PASTE_POOL_BYTES):
@@ -90,16 +108,11 @@ def make_testbed(config=None, *, server_features=None, client_features=None,
         pm_device = PMDevice(pm_bytes, name="optane")
     elif not pm_device.persistent:
         raise ValueError("injected pm_device must be persistent")
-    pm_ns = PMNamespace(pm_device)
-
-    rx_pool_region = None
-    if paste:
-        rx_pool_region = pm_ns.create("paste-pktbufs", paste_pool_bytes)
-
-    server = Host(
-        sim, "server", SERVER_IP, fabric, CostModel.paste(),
-        cores=config.cores, rx_pool_region=rx_pool_region, busy_poll=True,
-        nic_features=server_features or NicFeatures(),
+    if not paste:
+        paste_pool_bytes = None
+    server, pm_ns = make_server_host(
+        sim, "server", SERVER_IP, fabric, pm_device, cores=config.cores,
+        paste_pool_bytes=paste_pool_bytes, nic_features=server_features,
     )
     client = Host(
         sim, "client", CLIENT_IP, fabric, CostModel.kernel(), cores=CLIENT_CORES,
@@ -114,7 +127,7 @@ def make_testbed(config=None, *, server_features=None, client_features=None,
         # same pressure envelope (pool eviction is part of history).
         handle.capture.meta.update({
             "pm_bytes": pm_bytes,
-            "paste_pool_bytes": paste_pool_bytes if paste else None,
+            "paste_pool_bytes": paste_pool_bytes,
         })
     if handle.recorder is not None:
         # The testbed owns both ends of the wire, so the registry can

@@ -32,7 +32,6 @@ parameter; keys are drawn Zipf(θ)-skewed from a fixed key space that
 should be preloaded (`repro.bench.testbed.preload`).
 """
 
-import math
 import random
 from collections import deque
 

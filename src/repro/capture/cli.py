@@ -158,11 +158,11 @@ def _main_inspect(args):
 def _main_replay(args):
     from repro.bench.testbed import make_testbed
     from repro.bench.wrk import HomaWrkClient, WrkClient
-    from repro.capture.replay import config_from_meta
+    from repro.storage.server import ServerConfig
 
     capture = Capture.load(args.capture)
     source = CaptureSource(capture, per_flow=not args.merged)
-    config = config_from_meta(capture.meta)
+    config = ServerConfig.from_capture_meta(capture.meta)
     testbed = make_testbed(config=config)
     client_cls = (HomaWrkClient if config.transport == "homa" else WrkClient)
     wrk = client_cls(testbed.client, testbed.server.ip,

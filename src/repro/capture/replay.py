@@ -38,10 +38,9 @@ swaps it onto the dead host's fabric port and revives it in the ring.
 
 import hashlib
 
-from repro.bench.costmodel import CostModel
+from repro.bench.testbed import PASTE_POOL_BYTES, PM_BYTES, make_server_host
 from repro.bench.workloads import TrafficSource
 from repro.capture.format import Capture
-from repro.capture.tap import CaptureTap
 from repro.net.fabric import Fabric
 from repro.net.headers import (
     ETH_HEADER_LEN,
@@ -53,20 +52,14 @@ from repro.net.headers import (
     TCPHeader,
     ip_to_int,
 )
-from repro.net.nic import NicFeatures, l4_csum_info
-from repro.net.stack import Host
+from repro.net.nic import l4_csum_info
 from repro.pm.device import PMDevice
-from repro.pm.namespace import PMNamespace
 from repro.sim.context import NULL_CONTEXT
 from repro.sim.engine import Simulator
 from repro.storage.engines import direct_put
 from repro.storage.server import ServerConfig, serve
 from repro.testing.oracle import KVDurabilityOracle
 from repro.testing.verdict import Verdict
-
-#: Default world sizing for rebuilt standbys; mirrors the testbed's.
-PM_BYTES = 192 << 20
-PASTE_POOL_BYTES = 16 << 20
 
 DEFAULT_MAX_EVENTS = 50_000_000
 
@@ -112,29 +105,6 @@ def inject(capture, host, dst_ip=None, time_offset=0.0, echo=None):
 # -- standby rebuild -----------------------------------------------------------
 
 
-def config_from_meta(meta):
-    """Reconstruct the ServerConfig a capture's meta block recorded."""
-    recorded = (meta or {}).get("server_config")
-    if not recorded:
-        raise ValueError(
-            "capture has no server_config meta — record it through "
-            "ServerConfig(capture=True) or pass config= explicitly"
-        )
-    return ServerConfig(
-        transport=recorded.get("transport", "tcp"),
-        engine=recorded.get("engine", "novelsm"),
-        port=recorded.get("port", 80),
-        cores=recorded.get("cores", 1),
-        zero_copy_get=recorded.get("zero_copy_get", False),
-        contain_errors=recorded.get("contain_errors", True),
-        overload=True if recorded.get("overload") else None,
-        reaper_idle_ns=recorded.get("reaper_idle_ns"),
-        memtable_arena=recorded.get("memtable_arena", 48 << 20),
-        engine_kwargs=dict(recorded.get("engine_kwargs") or {}),
-        ack_policy=recorded.get("ack_policy"),
-    )
-
-
 class Standby:
     """A server rebuilt from a capture: its world and its verdicts."""
 
@@ -170,7 +140,7 @@ def rebuild_standby(capture, config=None, server_ip=None,
     """
     meta = capture.meta or {}
     if config is None:
-        config = config_from_meta(meta)
+        config = ServerConfig.from_capture_meta(meta)
     if config.capture:
         # The standby must not re-capture its own rebuild.
         config = config.with_overrides(
@@ -193,16 +163,10 @@ def rebuild_standby(capture, config=None, server_ip=None,
     # A private fabric with a single port: the standby's replies target
     # clients that do not exist here and blackhole, like a LAN would.
     fabric = Fabric(sim)
-    pm_device = PMDevice(pm_bytes, name="standby-pm")
-    pm_ns = PMNamespace(pm_device)
-    rx_pool_region = None
-    if paste_pool_bytes is not None:
-        rx_pool_region = pm_ns.create("paste-pktbufs", paste_pool_bytes)
-    host = Host(
+    host, pm_ns = make_server_host(
         sim, meta.get("server_name", "standby"), server_ip, fabric,
-        CostModel.paste(), cores=config.cores,
-        rx_pool_region=rx_pool_region, busy_poll=True,
-        nic_features=NicFeatures(),
+        PMDevice(pm_bytes, name="standby-pm"), cores=config.cores,
+        paste_pool_bytes=paste_pool_bytes,
     )
     server = serve(host, config, pm_ns=pm_ns)
 
@@ -234,11 +198,7 @@ def store_digest(engine):
     The same shape as the bench lane's recovered-store digest: equal
     digests mean byte-identical visible stores.
     """
-    digest = hashlib.sha256()
-    for key in sorted(mapping := store_mapping(engine)):
-        digest.update(hashlib.sha256(key).digest())
-        digest.update(hashlib.sha256(mapping[key]).digest())
-    return digest.hexdigest()
+    return _digest_of_mapping(store_mapping(engine))
 
 
 class _MappingView:
@@ -686,10 +646,8 @@ def reseed_from_capture(cluster, dead_name, capture=None, attach=True,
 
     Returns a :class:`ReseedReport`.
     """
-    from repro.cluster.backoff import Backoff
     from repro.cluster.hashring import HashRing
-    from repro.cluster.replication import ReplicationApplier, Replicator
-    from repro.cluster.topology import ClusterContext, ClusterNode
+    from repro.cluster.topology import build_node
 
     config = cluster.config
     if capture is None:
@@ -707,32 +665,10 @@ def reseed_from_capture(cluster, dead_name, capture=None, attach=True,
 
     sim = cluster.sim
     private = Fabric(sim)
-    pm_device = PMDevice(config.pm_bytes, name=f"{dead_name}-reseed-pm")
-    pm_ns = PMNamespace(pm_device)
-    rx_region = pm_ns.create("paste-pktbufs", config.paste_pool_bytes)
-    host = Host(
-        sim, dead_name, node.ip, private, CostModel.paste(),
-        cores=config.cores, rx_pool_region=rx_region,
-        pool_slots=config.pool_slots, busy_poll=True,
-        nic_features=NicFeatures(),
-    )
-    replicator = Replicator(
-        host, config.repl_port,
-        backoff=config.backoff if config.backoff is not None else Backoff(),
-    )
     peer_ips = {name: n.ip for name, n in cluster.nodes.items()}
-    cluster_ctx = ClusterContext(
-        node_name=dead_name, replicator=replicator, route=cluster.ring.route,
-        peer_ips=peer_ips, ack_policy=config.ack_policy,
-    )
-    server_config = ServerConfig(
-        transport="homa", engine=config.engine, port=config.port,
-        cores=config.cores, contain_errors=config.contain_errors,
-        overload=config.overload, ack_policy=config.ack_policy,
-        engine_kwargs=dict(config.engine_kwargs),
-    )
-    handle = serve(host, server_config, pm_ns=pm_ns, cluster=cluster_ctx)
-    applier = ReplicationApplier(handle.kv, config.repl_port)
+    standby = build_node(config, sim, private, dead_name, node.ip,
+                         f"{dead_name}-reseed-pm", cluster.ring.route,
+                         peer_ips)
 
     # Phase 1: replay the corpse's own delivered history (client puts
     # AND the replication stream it applied as a backup), shifted so
@@ -743,7 +679,7 @@ def reseed_from_capture(cluster, dead_name, capture=None, attach=True,
     offset = 0.0
     if history.records:
         offset = sim.now - history.records[0].t_ns + 1.0
-    report.injected = inject(history, host, time_offset=offset)
+    report.injected = inject(history, standby.host, time_offset=offset)
     sim.run_until_idle(max_events=max_events)
 
     # Phase 2: catch up the post-kill delta from the survivors' inbound
@@ -758,23 +694,22 @@ def reseed_from_capture(cluster, dead_name, capture=None, attach=True,
             key_bytes = key.encode("utf-8")
             if dead_name not in full_ring.route(key_bytes):
                 continue
-            if _apply_op(handle.engine, method, key_bytes, value):
+            if _apply_op(standby.engine, method, key_bytes, value):
                 report.caught_up += 1
 
     # Phase 3: the standby must agree with every promoted primary.
-    violations, report.checked = verify_reseed(cluster, handle.engine,
+    violations, report.checked = verify_reseed(cluster, standby.engine,
                                                dead_name, full_ring)
     for kind, detail in violations:
         report.violation(kind, detail)
 
     # Phase 4: take over the dead host's fabric port and rejoin.
-    report.node = ClusterNode(dead_name, node.ip, host, handle, replicator,
-                              applier, pm_device, pm_ns)
+    report.node = standby
     if attach and report.ok:
-        cluster.fabric.replace(host.nic)
-        host.nic.fabric = cluster.fabric
+        cluster.fabric.replace(standby.host.nic)
+        standby.host.nic.fabric = cluster.fabric
         cluster.ring.mark_alive(dead_name)
-        replicator.reset_suspicion()
+        standby.replicator.reset_suspicion()
         for survivor in cluster.alive_nodes():
             survivor.replicator.reset_suspicion()
         cluster.nodes[dead_name] = report.node

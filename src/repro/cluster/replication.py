@@ -332,6 +332,9 @@ class ReplicationApplier:
             rpc.reply(encode_repl_ack(origin, 400), ctx)
             return
 
+        # Not the front-end's request envelope (_KVDispatch._serve): an
+        # apply charges no HTTP build, its span kind is REPL, and the RPC
+        # is answered once, with an ack, after every message applied.
         recorder = self.kv.recorder
         core = self.host.homa.core_for_rpc(rpc.rpc_id).index
         status = 0

@@ -31,15 +31,14 @@ node from packets alone and re-attaches it to the ring
 from dataclasses import dataclass, field
 
 from repro.bench.costmodel import CostModel
+from repro.bench.testbed import make_server_host
 from repro.cluster.backoff import Backoff
 from repro.cluster.hashring import HashRing
 from repro.cluster.replication import ReplicationApplier, Replicator
 from repro.net.fabric import Fabric
-from repro.net.http import HttpError, HttpParser
 from repro.net.nic import NicFeatures
 from repro.net.stack import Host
 from repro.pm.device import PMDevice
-from repro.pm.namespace import PMNamespace
 from repro.sim.context import NULL_CONTEXT
 from repro.sim.engine import Simulator
 from repro.storage.kvserver import HomaKVServer, _status_of
@@ -125,7 +124,8 @@ class ClusterContext:
 class ClusterKVServer(HomaKVServer):
     """The Homa KV front-end of one cluster node.
 
-    Differences from the standalone server, all on the put path:
+    It parses and serves requests as the standalone Homa server does;
+    only its reply differs, and only on the put path:
 
     - after a successful local apply of a PUT/DELETE for which this
       node is the key's primary, the *original request bytes* are
@@ -157,77 +157,28 @@ class ClusterKVServer(HomaKVServer):
         })
 
     def _on_request(self, rpc, segments, ctx):
-        self.stats["connections"] += 1
-        parser = HttpParser(is_response=False)
-        messages = []
         # The delivered frames' bytes, kept verbatim: if this turns out
         # to be a primary-owned put, these exact bytes are forwarded to
         # the backup — the request packets are the replication stream.
         raw = b"".join(s.bytes() for s in segments)
-        try:
-            for segment in segments:
-                messages.extend(parser.feed(segment, ctx, self.costs))
-        except HttpError as exc:
-            if not self.contain_errors:
-                raise
-            parser.reset()
-            for message in messages:
-                message.release()
-            self.stats["parse_errors"] += 1
-            self.stats["bad_requests"] += 1
-            from repro.net.http import build_response
-
-            rpc.reply(build_response(400, str(exc).encode("utf-8", "replace")),
-                      ctx)
-            return
+        messages = self._parse_rpc(rpc, segments, ctx)
         core = self.transport.core_for_rpc(rpc.rpc_id).index
         # Replication forwards the whole RPC payload; a pipelined RPC
         # carrying several requests has no per-message frame boundary,
         # so only single-request RPCs replicate (the cluster client
         # always sends one request per RPC).
-        single = len(messages) == 1
+        if len(messages) != 1:
+            raw = None
         for message in messages:
-            self._serve_one(rpc, message, raw if single else None, core, ctx)
+            backup = self._backup_for(message, raw)
+            self._serve((rpc, message, raw, backup, core), message, core,
+                        ctx, rpc.rpc_id)
 
-    def _serve_one(self, rpc, message, raw, core, ctx):
-        recorder = self.recorder
-        kind = message.method or "?"
-        key = (message.path or "/").split("?", 1)[0].lstrip("/").encode("utf-8")
-        hw_tstamp, wire_csum = message.hw_tstamp, message.wire_csum
-        backup = self._backup_for(key, kind, raw)
-        if recorder is not None:
-            recorder.request_begin(ctx)
-        status = 0
-        try:
-            try:
-                response = self._dispatch(message, ctx)
-            finally:
-                message.release()
-            self.costs.charge_http_build(ctx)
-            status = _status_of(response)
-            if status == 200 and backup is not None:
-                self.stats["replicated_puts"] += 1
-                sync = self.ack_policy == "sync"
-                if sync:
-                    self.stats["deferred_replies"] += 1
-                else:
-                    rpc.reply(response, ctx)
-                self.replicator.replicate(
-                    rpc.rpc_id, raw, hw_tstamp, wire_csum,
-                    self.peer_ips[backup], ctx,
-                    self._make_on_ack(rpc, response, core, sync),
-                )
-            else:
-                rpc.reply(response, ctx)
-        finally:
-            if recorder is not None:
-                recorder.request_end(kind, status, core, ctx,
-                                     rpc_id=rpc.rpc_id)
-
-    def _backup_for(self, key, kind, raw):
+    def _backup_for(self, message, raw):
         """The backup node name when this request must replicate."""
+        key = (message.path or "/").split("?", 1)[0].lstrip("/").encode("utf-8")
         if self.replicator is None or raw is None or not key or \
-                kind not in self.REPLICATED_METHODS:
+                message.method not in self.REPLICATED_METHODS:
             return None
         route = self.route(key)
         if not route or route[0] != self.node_name:
@@ -237,6 +188,27 @@ class ClusterKVServer(HomaKVServer):
             # re-forwarding; the router owns convergence.
             return None
         return route[1] if len(route) > 1 else None
+
+    def _send_response(self, request, response, ctx):
+        """Answer ``request`` — the ``(rpc, message, raw, backup, core)``
+        of :meth:`_on_request` — replicating a successful primary-owned
+        put to its backup first (and, under sync acks, leaving the
+        answer to the backup's ack)."""
+        rpc, message, raw, backup, core = request
+        if backup is None or _status_of(response) != 200:
+            rpc.reply(response, ctx)
+            return
+        self.stats["replicated_puts"] += 1
+        sync = self.ack_policy == "sync"
+        if sync:
+            self.stats["deferred_replies"] += 1
+        else:
+            rpc.reply(response, ctx)
+        self.replicator.replicate(
+            rpc.rpc_id, raw, message.hw_tstamp, message.wire_csum,
+            self.peer_ips[backup], ctx,
+            self._make_on_ack(rpc, response, core, sync),
+        )
 
     def _make_on_ack(self, rpc, response, core, sync):
         def on_ack(ok, ack_ctx):
@@ -445,45 +417,11 @@ def build_cluster(config=None, **overrides):
     )
     client.enable_homa()
 
-    server_config = ServerConfig(
-        transport="homa", engine=config.engine, port=config.port,
-        cores=config.cores, contain_errors=config.contain_errors,
-        overload=config.overload, ack_policy=config.ack_policy,
-        engine_kwargs=dict(config.engine_kwargs),
-    )
-
     nodes = {}
     for name in names:
-        pm_device = PMDevice(config.pm_bytes, name=f"{name}-pm")
-        pm_ns = PMNamespace(pm_device)
-        rx_region = pm_ns.create("paste-pktbufs", config.paste_pool_bytes)
-        host = Host(
-            sim, name, ips[name], fabric, CostModel.paste(),
-            cores=config.cores, rx_pool_region=rx_region,
-            pool_slots=config.pool_slots, busy_poll=True,
-            nic_features=NicFeatures(),
-        )
-        replicator = Replicator(
-            host, config.repl_port,
-            backoff=config.backoff if config.backoff is not None else Backoff(),
-            recorder=recorder,
-        )
-        cluster_ctx = ClusterContext(
-            node_name=name, replicator=replicator, route=ring.route,
-            peer_ips=ips, ack_policy=config.ack_policy,
-        )
-        handle = serve(host, server_config, pm_ns=pm_ns, cluster=cluster_ctx)
-        applier = ReplicationApplier(handle.kv, config.repl_port)
-        if recorder is not None:
-            recorder.attach_host(host, name)
-            recorder.attach_server(handle.kv, role=name)
-            recorder.attach_engine(handle.engine, role=f"{name}.engine")
-            recorder.attach_replicator(replicator, role=f"{name}.repl")
-            recorder.attach_applier(applier, role=f"{name}.repl.apply")
-            if handle.overload is not None:
-                recorder.attach_overload(handle.overload, role=f"{name}.overload")
-        nodes[name] = ClusterNode(name, ips[name], host, handle, replicator,
-                                  applier, pm_device, pm_ns)
+        nodes[name] = build_node(config, sim, fabric, name, ips[name],
+                                 f"{name}-pm", ring.route, ips,
+                                 recorder=recorder)
 
     if recorder is not None:
         recorder.attach_host(client, "client")
@@ -523,6 +461,45 @@ def build_cluster(config=None, **overrides):
 
     return Cluster(config, sim, fabric, ring, nodes, client, recorder,
                    capture_tap=capture_tap)
+
+
+def build_node(config, sim, fabric, name, ip, pm_name, route, peer_ips,
+               recorder=None):
+    """One cluster server node of ``config`` on ``fabric``: a fresh PM
+    device named ``pm_name``, the server host, its replicator, the
+    cluster-mode front-end and the replication applier.  With a
+    ``recorder`` every piece registers its gauges under ``name``."""
+    pm_device = PMDevice(config.pm_bytes, name=pm_name)
+    host, pm_ns = make_server_host(
+        sim, name, ip, fabric, pm_device, cores=config.cores,
+        paste_pool_bytes=config.paste_pool_bytes, pool_slots=config.pool_slots,
+    )
+    replicator = Replicator(
+        host, config.repl_port,
+        backoff=config.backoff if config.backoff is not None else Backoff(),
+        recorder=recorder,
+    )
+    cluster_ctx = ClusterContext(
+        node_name=name, replicator=replicator, route=route,
+        peer_ips=peer_ips, ack_policy=config.ack_policy,
+    )
+    server_config = ServerConfig(
+        transport="homa", engine=config.engine, port=config.port,
+        cores=config.cores, contain_errors=config.contain_errors,
+        overload=config.overload, engine_kwargs=dict(config.engine_kwargs),
+    )
+    handle = serve(host, server_config, pm_ns=pm_ns, cluster=cluster_ctx)
+    applier = ReplicationApplier(handle.kv, config.repl_port)
+    if recorder is not None:
+        recorder.attach_host(host, name)
+        recorder.attach_server(handle.kv, role=name)
+        recorder.attach_engine(handle.engine, role=f"{name}.engine")
+        recorder.attach_replicator(replicator, role=f"{name}.repl")
+        recorder.attach_applier(applier, role=f"{name}.repl.apply")
+        if handle.overload is not None:
+            recorder.attach_overload(handle.overload, role=f"{name}.overload")
+    return ClusterNode(name, ip, host, handle, replicator, applier,
+                       pm_device, pm_ns)
 
 
 def preload_cluster(cluster, entries, value_size=512, key_prefix="warm"):

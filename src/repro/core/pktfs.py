@@ -27,7 +27,6 @@ persisted before the directory link, which is the commit point.
 from repro.core.ppktbuf import (
     INLINE_FRAGS,
     KIND_CONT,
-    KIND_EXTENT,
     KIND_HEAD,
     KIND_INODE,
     PMetaSlab,

@@ -48,7 +48,6 @@ from repro.core.ppktbuf import (
     RECORD_SIZE,
     PMetaSlab,
     PPktRecord,
-    SlabExhausted,
 )
 from repro.core.recovery import RecoveryReport
 from repro.net.headers import ETH_HEADER_LEN, IPV4_HEADER_LEN

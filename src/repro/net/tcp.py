@@ -27,7 +27,7 @@ from repro.net.headers import ACK, FIN, PSH, RST, SYN, TCPHeader
 from repro.net.pktbuf import PktBuf
 from repro.net.pool import PoolExhausted
 from repro.net.rbtree import RBTree
-from repro.sim.units import MICROS, MILLIS
+from repro.sim.units import MILLIS
 
 #: Default maximum segment size (Ethernet MTU 1500 - 20 IP - 20 TCP).
 MSS = 1460

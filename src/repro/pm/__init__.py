@@ -23,13 +23,8 @@ Latency defaults follow the paper (§5.1): 346 ns PM access vs 70 ns
 DRAM (Izraelevitz et al.).
 """
 
-from repro.pm.device import (
-    CACHE_LINE,
-    DRAMDevice,
-    MemoryDevice,
-    PMDevice,
-    Region,
-)
+from repro.pm.constants import CACHE_LINE
+from repro.pm.device import DRAMDevice, MemoryDevice, PMDevice, Region
 from repro.pm.cache import FlushTracker
 from repro.pm.alloc import AllocationError, PMAllocator
 from repro.pm.namespace import PMNamespace

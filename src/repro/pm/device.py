@@ -24,7 +24,6 @@ import mmap
 
 from repro.pm.cache import FlushTracker
 from repro.pm.constants import (
-    CACHE_LINE,
     DRAM_ACCESS_NS,
     FENCE_NS,
     FLUSH_LINE_NS,

@@ -27,11 +27,7 @@ zero-copy→copy GET degradation.
 
 import struct
 
-from repro.core.overload import (
-    CONTAINABLE,
-    OverloadController,
-    status_for_failure,
-)
+from repro.core.overload import CONTAINABLE, status_for_failure
 from repro.net.http import HttpError, HttpParser, build_response
 from repro.net.tcp import SendQueueFull, TcpState
 
@@ -101,10 +97,12 @@ def _status_of(response):
 
 
 class _KVDispatch:
-    """Request dispatch + containment shared by the TCP and Homa servers.
+    """Request dispatch + containment shared by every KV front-end.
 
-    Subclasses provide the transport glue; this class owns the
-    status-code contract:
+    Subclasses provide the transport glue: they parse requests off
+    their transport, run each through :meth:`_serve`, and supply
+    ``_send_response(conn, response, ctx)``.  This class owns the
+    request envelope and the status-code contract:
 
     =====  ==================================================
     400    malformed HTTP (parser raised :class:`HttpError`)
@@ -114,6 +112,9 @@ class _KVDispatch:
            ``AllocationError``) after emergency reclamation
     =====  ==================================================
     """
+
+    #: Serve GETs straight out of PM (only :class:`KVServer` can).
+    zero_copy_get = False
 
     def __init__(self, host, engine, port, overload=None, contain_errors=True):
         self.host = host
@@ -228,6 +229,47 @@ class _KVDispatch:
         self.stats["bad_requests"] += 1
         return build_response(404)
 
+    # -- the request envelope -------------------------------------------------
+
+    def _serve(self, conn, message, core, ctx, rpc_id=None):
+        """Serve one parsed request; every front-end runs this.
+
+        Opens the request span, dispatches, drops the request's packet
+        references, builds the response, hands it to the transport's
+        ``_send_response(conn, ...)`` and closes the span on ``core``
+        (``rpc_id`` joins a Homa request's span to its RPC).
+        """
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.request_begin(ctx)
+        kind = message.method or "?"
+        status = 0  # 0 = the handler raised (containment disabled)
+        try:
+            try:
+                if self.zero_copy_get and kind == "GET" and \
+                        not message.path.lstrip("/").startswith("__scan__") and \
+                        not self._should_degrade():
+                    self.costs.charge_app(ctx)
+                    key = (message.path or "/").lstrip("/").encode("utf-8")
+                    if key:
+                        status = self._zero_copy_get(conn, key, ctx)
+                        return
+                response = self._dispatch(message, ctx)
+            finally:
+                message.release()
+            self.costs.charge_http_build(ctx)
+            status = _status_of(response)
+            self._send_response(conn, response, ctx)
+        finally:
+            if recorder is not None:
+                recorder.request_end(kind, status, core, ctx, rpc_id=rpc_id)
+
+    def _reject(self, exc):
+        """Count a malformed request; returns the 400 answering it."""
+        self.stats["parse_errors"] += 1
+        self.stats["bad_requests"] += 1
+        return build_response(400, str(exc).encode("utf-8", "replace"))
+
 
 class KVServer(_KVDispatch):
     """HTTP front-end binding a storage engine to a host's stack.
@@ -267,43 +309,12 @@ class KVServer(_KVDispatch):
             # drop partial state (and its packet references), answer
             # 400, and close our side.
             parser.reset()
-            self.stats["parse_errors"] += 1
-            self.stats["bad_requests"] += 1
-            self._send_response(
-                sock, build_response(400, str(exc).encode("utf-8", "replace")),
-                ctx,
-            )
+            self._send_response(sock, self._reject(exc), ctx)
             if sock.state not in (TcpState.CLOSED, TcpState.TIME_WAIT):
                 sock.close(ctx)
             return
         for message in messages:
-            self._handle(sock, message, ctx)
-
-    def _handle(self, sock, message, ctx):
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.request_begin(ctx)
-        kind = message.method or "?"
-        status = 0  # 0 = the handler raised (containment disabled)
-        try:
-            try:
-                if message.method == "GET" and self.zero_copy_get and \
-                        not message.path.lstrip("/").startswith("__scan__") and \
-                        not self._should_degrade():
-                    self.costs.charge_app(ctx)
-                    key = (message.path or "/").lstrip("/").encode("utf-8")
-                    if key:
-                        status = self._zero_copy_get(sock, key, ctx)
-                        return
-                response = self._dispatch(message, ctx)
-            finally:
-                message.release()
-            self.costs.charge_http_build(ctx)
-            status = _status_of(response)
-            self._send_response(sock, response, ctx)
-        finally:
-            if recorder is not None:
-                recorder.request_end(kind, status, sock.core.index, ctx)
+            self._serve(sock, message, sock.core.index, ctx)
 
     def _send_response(self, sock, response, ctx):
         """Transmit, tolerating a connection the client already killed."""
@@ -370,9 +381,10 @@ class HomaKVServer(_KVDispatch):
     Requests and responses are self-contained messages carrying the
     same HTTP-style encoding, so the storage engines — including the
     packet-native one, whose zero-copy adoption works on any segment's
-    packet metadata — run unchanged.  Dispatch, admission control and
-    error containment are literally the TCP server's (shared base
-    class); only the transport glue differs.
+    packet metadata — run unchanged.  Dispatch, admission control,
+    error containment and the request envelope are the TCP server's
+    (shared base class); this class parses RPCs (:meth:`_parse_rpc`)
+    and answers each request with ``rpc.reply``.
     """
 
     def __init__(self, host, engine, port=80, overload=None,
@@ -382,6 +394,15 @@ class HomaKVServer(_KVDispatch):
         self.transport.listen(port, self._on_request)
 
     def _on_request(self, rpc, segments, ctx):
+        messages = self._parse_rpc(rpc, segments, ctx)
+        core = self.transport.core_for_rpc(rpc.rpc_id).index
+        for message in messages:
+            self._serve(rpc, message, core, ctx, rpc.rpc_id)
+
+    def _parse_rpc(self, rpc, segments, ctx):
+        """The requests one RPC carries.  A malformed RPC is answered
+        400 here, with every packet reference released, and yields no
+        request."""
         self.stats["connections"] += 1
         parser = HttpParser(is_response=False)
         messages = []
@@ -394,30 +415,12 @@ class HomaKVServer(_KVDispatch):
             parser.reset()
             for message in messages:
                 message.release()
-            self.stats["parse_errors"] += 1
-            self.stats["bad_requests"] += 1
-            rpc.reply(build_response(400, str(exc).encode("utf-8", "replace")),
-                      ctx)
-            return
-        recorder = self.recorder
-        core = self.transport.core_for_rpc(rpc.rpc_id).index
-        for message in messages:
-            if recorder is not None:
-                recorder.request_begin(ctx)
-            kind = message.method or "?"
-            status = 0
-            try:
-                try:
-                    response = self._dispatch(message, ctx)
-                finally:
-                    message.release()
-                self.costs.charge_http_build(ctx)
-                status = _status_of(response)
-                rpc.reply(response, ctx)
-            finally:
-                if recorder is not None:
-                    recorder.request_end(kind, status, core, ctx,
-                                         rpc_id=rpc.rpc_id)
+            rpc.reply(self._reject(exc), ctx)
+            return ()
+        return messages
+
+    def _send_response(self, rpc, response, ctx):
+        rpc.reply(response, ctx)
 
     def __repr__(self):
         return f"<HomaKVServer :{self.port} engine={self.engine.name}>"

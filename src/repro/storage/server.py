@@ -1,13 +1,10 @@
 """Unified server construction: one config, one entry point.
 
-Before this module, standing up a server meant knowing which kwargs
-each front-end took (``KVServer(zero_copy_get=...)`` vs
-``HomaKVServer`` without it), building the engine through the bench
-harness's private ``_make_engine``, wiring an
-:class:`~repro.core.overload.OverloadController` by hand, remembering
-``stack.enable_idle_reaper`` is TCP-only, and — new in this PR —
-attaching a :class:`~repro.obs.trace.Recorder` to every piece.
-:func:`serve` folds all of that behind a :class:`ServerConfig`::
+A :class:`ServerConfig` says everything that shapes one KV server —
+transport, engine, cores, admission control, zero-copy GET, idle
+reaper, metrics, capture — and :func:`serve` stands it up on a host:
+it builds the engine, the overload controller, the TCP or Homa
+front-end, the recorder and the capture tap::
 
     from repro.storage import ServerConfig, serve
 
@@ -17,9 +14,8 @@ attaching a :class:`~repro.obs.trace.Recorder` to every piece.
     server.kv        # the KVServer / HomaKVServer front-end
     server.metrics   # MetricsRegistry (None when metrics=False)
 
-The old constructors remain as the implementation layer (and for
-existing callers); new code, the testbed and the chaos harness go
-through :func:`serve`.
+The host itself comes from :func:`repro.bench.testbed.make_server_host`
+(``make_testbed`` builds both hosts and calls :func:`serve`).
 """
 
 from dataclasses import dataclass, field, replace
@@ -40,6 +36,11 @@ ENGINES = ("null", "rawpm", "leveldb-ssd", "novelsm", "novelsm-nopersist",
 
 TRANSPORTS = ("tcp", "homa")
 
+#: The :class:`ServerConfig` fields a capture records, in meta order.
+CAPTURED_FIELDS = ("transport", "engine", "port", "cores", "zero_copy_get",
+                   "contain_errors", "overload", "reaper_idle_ns",
+                   "memtable_arena", "engine_kwargs")
+
 
 @dataclass
 class ServerConfig:
@@ -52,9 +53,8 @@ class ServerConfig:
                         (the §5.2 message transport)
     engine              storage engine name (:data:`ENGINES`)
     port                listening port
-    cores               server cores; consumed by whoever builds the
-                        :class:`~repro.net.stack.Host` (``make_testbed``),
-                        validated by :func:`serve`
+    cores               server cores; consumed by the host builder
+                        (``make_server_host``), validated by :func:`serve`
     zero_copy_get       serve GETs straight out of PM (TCP only; requires a
                         packet-native engine)
     contain_errors      per-request containment (docs/RESILIENCE.md)
@@ -69,12 +69,17 @@ class ServerConfig:
     trace_capacity      request-span ring size when metrics are on
     memtable_arena      NoveLSM PM memtable arena bytes
     engine_kwargs       extra engine-constructor kwargs
-    ack_policy          cluster mode (``serve(..., cluster=ctx)``):
-                        ``"sync"`` defers the client ack until the
-                        backup applied the forwarded put,
-                        ``"primary-only"`` acks after the local apply;
-                        ``None`` = standalone server
+    capture             record the server's delivered frame stream: a
+                        ring-buffered fabric tap focused on its address,
+                        replayable as a workload or a standby
+                        (docs/CAPTURE.md)
+    capture_max_frames  ring bounds when capture is on (``None`` =
+    capture_max_bytes   unbounded)
     ==================  ======================================================
+
+    :data:`CAPTURED_FIELDS` are the fields a capture records
+    (:meth:`capture_meta`) and a rebuild reads back
+    (:meth:`from_capture_meta`).
     """
 
     transport: str = "tcp"
@@ -89,34 +94,34 @@ class ServerConfig:
     trace_capacity: int = 1024
     memtable_arena: int = 48 << 20
     engine_kwargs: dict = field(default_factory=dict)
-    ack_policy: str = None
-    #: Record this server's delivered frame stream (repro.capture): a
-    #: ring-buffered tap on the fabric focused on the server's address.
-    #: The resulting capture replays as a workload or rebuilds a
-    #: standby (docs/CAPTURE.md).
     capture: bool = False
-    #: Ring bounds when capture is on (None = unbounded).
     capture_max_frames: int = None
     capture_max_bytes: int = None
 
     def capture_meta(self):
         """The JSON-able provenance a capture needs to rebuild this
         server from the file alone (engine, transport, sizing)."""
-        return {
-            "server_config": {
-                "transport": self.transport,
-                "engine": self.engine,
-                "port": self.port,
-                "cores": self.cores,
-                "zero_copy_get": self.zero_copy_get,
-                "contain_errors": self.contain_errors,
-                "overload": self.overload is not None,
-                "reaper_idle_ns": self.reaper_idle_ns,
-                "memtable_arena": self.memtable_arena,
-                "engine_kwargs": dict(self.engine_kwargs),
-                "ack_policy": self.ack_policy,
-            },
-        }
+        recorded = {name: getattr(self, name) for name in CAPTURED_FIELDS}
+        recorded["overload"] = self.overload is not None
+        recorded["engine_kwargs"] = dict(self.engine_kwargs)
+        return {"server_config": recorded}
+
+    @classmethod
+    def from_capture_meta(cls, meta):
+        """Inverse of :meth:`capture_meta`: the config a capture's meta
+        block recorded.  A field the meta lacks keeps its default, and
+        a recorded key outside :data:`CAPTURED_FIELDS` is ignored."""
+        recorded = (meta or {}).get("server_config")
+        if not recorded:
+            raise ValueError(
+                "capture has no server_config meta — record it through "
+                "ServerConfig(capture=True) or pass config= explicitly"
+            )
+        config = cls(**{name: recorded[name] for name in CAPTURED_FIELDS
+                        if name in recorded})
+        config.overload = True if recorded.get("overload") else None
+        config.engine_kwargs = dict(recorded.get("engine_kwargs") or {})
+        return config
 
     def validate(self):
         if self.transport not in TRANSPORTS:
@@ -143,17 +148,6 @@ class ServerConfig:
             raise ValueError(
                 "capture_max_frames/capture_max_bytes need capture=True"
             )
-        if self.ack_policy is not None:
-            if self.ack_policy not in ("sync", "primary-only"):
-                raise ValueError(
-                    f"ack_policy {self.ack_policy!r} not in "
-                    f"('sync', 'primary-only') (or None for standalone)"
-                )
-            if self.transport != "homa":
-                raise ValueError(
-                    "cluster mode (ack_policy) replicates over Homa; "
-                    "transport must be 'homa'"
-                )
         return self
 
     def with_overrides(self, **kwargs):
@@ -232,30 +226,19 @@ def build_engine(name, host, pm_ns=None, memtable_arena=48 << 20,
     raise ValueError(f"unknown engine {name!r}")
 
 
-def serve(host, config=None, pm_ns=None, engine=None, recorder=None,
-          cluster=None, **overrides):
+def serve(host, config=None, pm_ns=None, cluster=None):
     """Stand up a KV server on ``host`` as described by ``config``.
 
-    - ``engine`` injects a pre-built engine instance (``config.engine``
-      then only labels it); otherwise :func:`build_engine` runs.
-    - ``recorder`` reuses an existing :class:`~repro.obs.trace.Recorder`
-      (the testbed's, so client and fabric share the registry) instead
-      of creating one; it implies metrics even if the config says off.
-    - ``cluster`` (a :class:`~repro.cluster.topology.ClusterContext`)
-      selects the cluster-mode front-end: the server becomes one shard
-      of a replicated cluster, forwarding primary-owned puts to its
-      backup per ``config.ack_policy``.  Requires ``transport="homa"``.
-    - keyword ``overrides`` tweak a shared config ad hoc:
-      ``serve(host, config, port=8080)``.
+    ``pm_ns`` (a :class:`~repro.pm.namespace.PMNamespace`) backs the
+    PM engines (:func:`build_engine`).  ``cluster`` (a
+    :class:`~repro.cluster.topology.ClusterContext`) selects the
+    cluster-mode front-end: the server becomes one shard of a
+    replicated cluster, forwarding primary-owned puts to its backup
+    per the context's ``ack_policy``.  It requires ``transport="homa"``.
 
     Returns a :class:`Server` handle.
     """
-    config = (config or ServerConfig())
-    if overrides:
-        config = config.with_overrides(**overrides)
-    if cluster is not None and config.ack_policy is None:
-        config = config.with_overrides(ack_policy=cluster.ack_policy)
-    config.validate()
+    config = (config or ServerConfig()).validate()
     if cluster is not None and config.transport != "homa":
         raise ValueError("cluster mode requires transport='homa'")
     if len(host.cpus) != config.cores:
@@ -265,10 +248,9 @@ def serve(host, config=None, pm_ns=None, engine=None, recorder=None,
             f"the same config (make_testbed(config=...)) or align them"
         )
 
-    if engine is None:
-        engine = build_engine(config.engine, host, pm_ns=pm_ns,
-                              memtable_arena=config.memtable_arena,
-                              engine_kwargs=config.engine_kwargs)
+    engine = build_engine(config.engine, host, pm_ns=pm_ns,
+                          memtable_arena=config.memtable_arena,
+                          engine_kwargs=config.engine_kwargs)
 
     overload = config.overload
     if overload is True:
@@ -292,11 +274,11 @@ def serve(host, config=None, pm_ns=None, engine=None, recorder=None,
         if config.reaper_idle_ns is not None:
             host.stack.enable_idle_reaper(config.reaper_idle_ns)
 
-    if recorder is None and config.metrics:
+    recorder = None
+    if config.metrics:
         from repro.obs.trace import Recorder
 
         recorder = Recorder(sim=host.sim, trace_capacity=config.trace_capacity)
-    if recorder is not None:
         recorder.attach_host(host, "server")
         recorder.attach_server(kv)
         recorder.attach_engine(engine)

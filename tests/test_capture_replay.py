@@ -20,7 +20,6 @@ from repro.bench.testbed import make_testbed
 from repro.bench.wrk import HomaWrkClient, WrkClient
 from repro.capture.replay import (
     CaptureSource,
-    config_from_meta,
     extract_ops,
     plant_drop,
     rebuild_standby,
@@ -98,9 +97,9 @@ class TestReplayDeterminism:
         assert first.digest() == second.digest()
         assert first.echo.digest() == second.echo.digest()
 
-    def test_config_from_meta_requires_recorded_config(self):
+    def test_from_capture_meta_requires_recorded_config(self):
         with pytest.raises(ValueError, match="server_config"):
-            config_from_meta({})
+            ServerConfig.from_capture_meta({})
 
 
 class TestPlantDrop:
@@ -145,7 +144,8 @@ class TestCaptureAsWorkload:
         source = CaptureSource(capture)
         assert source.total_ops > 0
 
-        config = config_from_meta(capture.meta).with_overrides(capture=True)
+        config = ServerConfig.from_capture_meta(capture.meta).with_overrides(
+            capture=True)
         replay_bed = make_testbed(config=config)
         wrk = WrkClient(replay_bed.client, replay_bed.server.ip,
                         connections=source.loops, duration_ns=1e15,

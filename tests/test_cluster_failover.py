@@ -12,9 +12,9 @@ that wraps all of it in oracles.
 import pytest
 
 from repro.cluster.backoff import Backoff
-from repro.cluster.topology import ClusterConfig, build_cluster
+from repro.cluster.topology import ClusterConfig, ClusterContext, build_cluster
 from repro.net.http import HttpParser, build_request
-from repro.storage.server import ServerConfig
+from repro.storage.server import ServerConfig, serve
 from repro.testing.chaos_cluster import HostKillStorm
 
 FAST_BACKOFF = Backoff(base_ns=500_000.0, multiplier=2.0,
@@ -194,11 +194,14 @@ class TestRouterDetection:
 
 
 class TestServeValidation:
-    def test_ack_policy_requires_homa(self):
-        with pytest.raises(ValueError):
-            ServerConfig(transport="tcp", ack_policy="sync").validate()
-        with pytest.raises(ValueError):
-            ServerConfig(transport="homa", ack_policy="weird").validate()
+    def test_cluster_mode_requires_homa(self):
+        cluster = build_cluster(ClusterConfig(hosts=2))
+        node = cluster.nodes["s0"]
+        ctx = ClusterContext("s0", node.replicator, cluster.ring.route,
+                             {"s0": node.ip}, "sync")
+        with pytest.raises(ValueError, match="homa"):
+            serve(node.host, ServerConfig(transport="tcp"), pm_ns=node.pm_ns,
+                  cluster=ctx)
 
     def test_cluster_config_validation(self):
         with pytest.raises(ValueError):

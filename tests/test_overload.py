@@ -11,6 +11,8 @@ parsers, the namespace's torn-directory rollback, and the chaos storm
 import pytest
 
 from repro.bench.costmodel import CostModel
+from repro.bench.testbed import make_testbed
+from repro.cluster.topology import ClusterConfig, build_cluster
 from repro.core.overload import (
     OVERLOADED,
     STORAGE_FULL,
@@ -34,6 +36,7 @@ from repro.pm.namespace import (
 from repro.sim.context import NULL_CONTEXT
 from repro.sim.engine import Simulator
 from repro.storage.kvserver import KVServer, decode_scan_body, encode_scan_body
+from repro.storage.server import ServerConfig
 from repro.testing.chaos import run_overload_storm
 
 
@@ -290,6 +293,46 @@ def run_requests(sim, client, requests):
     return responses
 
 
+def run_rpc(sim, client, ip, port, payload):
+    """One Homa RPC carrying ``payload``; returns the reply statuses."""
+    statuses = []
+    parser = HttpParser(is_response=True)
+
+    def on_reply(segments, ctx):
+        for segment in segments:
+            for message in parser.feed(segment):
+                statuses.append(message.status)
+                message.release()
+
+    def start(ctx):
+        client.enable_homa().send_request(ip, port, payload, ctx,
+                                          on_reply=on_reply)
+
+    client.process_on_core(client.cpus[0], start)
+    sim.run_until_idle(max_events=2_000_000)
+    return statuses
+
+
+def front_end_world(front_end, contain_errors=True):
+    """``(server host, front-end, send)`` for one KV front-end, where
+    ``send(raw)`` delivers one raw request and returns the statuses."""
+    if front_end == "tcp":
+        sim, server, client, _engine, kv = make_world(
+            kv_kwargs={"contain_errors": contain_errors})
+        return server, kv, lambda raw: [
+            status for status, _ in run_requests(sim, client, [raw])]
+    if front_end == "homa":
+        bed = make_testbed(ServerConfig(transport="homa", engine="pktstore",
+                                        contain_errors=contain_errors))
+        sim, client, server, kv = bed.sim, bed.client, bed.server, bed.kv
+    else:
+        cluster = build_cluster(ClusterConfig(
+            hosts=2, contain_errors=contain_errors))
+        node = cluster.nodes["s0"]
+        sim, client, server, kv = cluster.sim, cluster.client, node.host, node.kv
+    return server, kv, lambda raw: run_rpc(sim, client, server.ip, kv.port, raw)
+
+
 # -- error containment over the wire ------------------------------------------
 
 
@@ -342,12 +385,31 @@ class TestErrorContainment:
         with pytest.raises(PoolExhausted):
             run_requests(sim, client, [build_request("PUT", "/k", b"x")])
 
-    def test_malformed_request_line_answers_400(self):
-        sim, server, client, engine, kv = make_world()
-        responses = run_requests(sim, client, [b"NOT AN HTTP LINE\r\n\r\n"])
-        assert responses[0][0] == 400
+    @pytest.mark.parametrize("front_end", ["tcp", "homa", "cluster"])
+    def test_malformed_request_line_answers_400(self, front_end):
+        server, kv, send = front_end_world(front_end)
+        baseline = server.rx_pool.in_use
+        assert send(b"NOT AN HTTP LINE\r\n\r\n") == [400]
         assert kv.stats["parse_errors"] == 1
-        assert server.rx_pool.in_use == 0
+        assert server.rx_pool.in_use == baseline
+
+    @pytest.mark.parametrize("front_end", ["homa", "cluster"])
+    def test_malformed_rpc_releases_its_parsed_requests(self, front_end):
+        # An RPC is answered whole: requests parsed from its earlier
+        # frames are dropped, not applied, when a later frame is garbage.
+        server, kv, send = front_end_world(front_end)
+        baseline = server.rx_pool.in_use
+        raw = b"".join(build_request("PUT", f"/k{i}", b"v" * 100)
+                       for i in range(20))
+        assert send(raw + b"NOT AN HTTP LINE\r\n\r\n") == [400]
+        assert kv.stats["puts"] == 0
+        assert server.rx_pool.in_use == baseline
+
+    @pytest.mark.parametrize("front_end", ["tcp", "homa", "cluster"])
+    def test_malformed_request_escapes_without_containment(self, front_end):
+        _server, _kv, send = front_end_world(front_end, contain_errors=False)
+        with pytest.raises(HttpError):
+            send(b"NOT AN HTTP LINE\r\n\r\n")
 
     def test_unknown_method_answers_400(self):
         sim, server, client, engine, kv = make_world()

@@ -5,14 +5,8 @@ import pytest
 from repro.bench.testbed import SERVER_IP, make_testbed
 from repro.bench.wrk import HomaWrkClient, WrkClient
 from repro.core.overload import OverloadController
-from repro.storage import (
-    ENGINES,
-    TRANSPORTS,
-    Server,
-    ServerConfig,
-    build_engine,
-    serve,
-)
+from repro.storage import ENGINES, TRANSPORTS, ServerConfig, serve
+from repro.storage.server import CAPTURED_FIELDS
 from repro.storage.kvserver import HomaKVServer, KVServer
 
 
@@ -50,6 +44,25 @@ class TestServerConfig:
         assert derived.engine == "pktstore"
         assert derived.cores == 4 and derived.metrics
         assert base.cores == 1 and not base.metrics
+
+    def test_capture_meta_round_trips(self):
+        # Every captured field away from its default comes back equal.
+        config = ServerConfig(
+            transport="homa", engine="pktstore", port=8080, cores=4,
+            zero_copy_get=True, contain_errors=False, overload=True,
+            reaper_idle_ns=5_000_000.0, memtable_arena=16 << 20,
+            engine_kwargs={"meta_bytes": 1 << 20},
+        )
+        defaults = ServerConfig()
+        assert all(getattr(config, name) != getattr(defaults, name)
+                   for name in CAPTURED_FIELDS)
+        assert ServerConfig.from_capture_meta(config.capture_meta()) == config
+
+    def test_capture_meta_ignores_unknown_keys(self):
+        meta = ServerConfig(engine="pktstore").capture_meta()
+        meta["server_config"]["ack_policy"] = "sync"
+        assert ServerConfig.from_capture_meta(meta) == \
+            ServerConfig(engine="pktstore")
 
     def test_engine_and_transport_tables(self):
         assert "novelsm" in ENGINES and "pktstore" in ENGINES
@@ -94,20 +107,6 @@ class TestServe:
         assert testbed.client.recorder is testbed.recorder
         assert testbed.fabric.recorder is testbed.recorder
         assert testbed.kv.recorder is testbed.recorder
-
-    def test_serve_overrides_kwargs(self):
-        testbed = make_testbed(config=ServerConfig())
-        server = serve(testbed.server, ServerConfig(engine="null"),
-                       port=8080)
-        assert isinstance(server, Server)
-        assert server.config.port == 8080
-
-    def test_engine_injection_skips_build(self):
-        testbed = make_testbed(config=ServerConfig())
-        prebuilt = build_engine("null", testbed.server)
-        server = serve(testbed.server, ServerConfig(engine="null"),
-                       engine=prebuilt, port=81)
-        assert server.engine is prebuilt
 
 
 class TestRetiredKwargs:
