@@ -28,6 +28,10 @@ from repro.bench.workloads import UniformSource
 from repro.net.http import HttpParser, build_request
 from repro.sim.units import ns_to_us
 
+# How long a closed-loop run keeps the simulator going after its loops
+# stop at ``stop_at``: time for the trailing ACKs to land.
+ACK_GRACE_NS = 5_000_000.0
+
 
 def _op_to_request(op):
     """Render one TrafficSource op as HTTP request bytes (or None)."""
@@ -402,7 +406,7 @@ class WrkClient:
         if self.started_at is None:
             self.start()
         # Loops stop by themselves at stop_at; allow trailing ACK traffic.
-        self.host.sim.run(until=self.stop_at + 5_000_000.0)
+        self.host.sim.run(until=self.stop_at + ACK_GRACE_NS)
         return self.stats
 
     def stalled(self):
@@ -547,7 +551,7 @@ class HomaWrkClient(WrkClient):
         )
         if conn.started is None:
             # A lambda, not the bound method: the golden event digests
-            # (repro.bench.speed) hash each fired hook's qualname.
+            # (repro.bench.golden) hash each fired hook's qualname.
             self.host.call_at_completion(
                 lambda t_end, c: conn._mark_sent(t_end, c)
             )

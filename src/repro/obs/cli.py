@@ -207,9 +207,11 @@ def _watched_run(testbed, wrk, interval_ns):
     (after the trailing-ACK grace), so ``watch[-1]`` matches the final
     ``snapshot`` document's totals.
     """
+    from repro.bench.wrk import ACK_GRACE_NS
+
     wrk.start()
     sim = testbed.sim
-    stop = wrk.stop_at + 5_000_000.0  # same grace as WrkClient.run
+    stop = wrk.stop_at + ACK_GRACE_NS
     watch = []
     now = sim.now
     while now < stop:

@@ -277,11 +277,7 @@ class Recorder:
     def attach_server(self, kv, role="server"):
         """Watch a KV front-end: request spans plus its stats dict."""
         kv.recorder = self
-        for key in kv.stats:
-            self.registry.gauge(
-                f"{role}.kv.{key}",
-                fn=lambda stats=kv.stats, k=key: float(stats.get(k, 0)),
-            )
+        self._stat_gauges(f"{role}.kv", kv.stats)
         return self
 
     def attach_engine(self, engine, role="engine"):
@@ -308,11 +304,7 @@ class Recorder:
 
     def attach_overload(self, controller, role="overload"):
         """Surface shed/reclaim/degrade decisions as snapshot values."""
-        for key in controller.stats:
-            self.registry.gauge(
-                f"{role}.{key}",
-                fn=lambda stats=controller.stats, k=key: float(stats.get(k, 0)),
-            )
+        self._stat_gauges(role, controller.stats)
         self.registry.gauge(
             f"{role}.under_pressure",
             fn=lambda c=controller: 1.0 if c.under_pressure else 0.0,
@@ -364,11 +356,7 @@ class Recorder:
         if role is None:
             handles = self._hosts.get(transport.host)
             role = handles.role if handles is not None else transport.host.name
-        for key in transport.stats:
-            self.registry.gauge(
-                f"{role}.homa.{key}",
-                fn=lambda stats=transport.stats, k=key: float(stats.get(k, 0)),
-            )
+        self._stat_gauges(f"{role}.homa", transport.stats)
         for direction in ("request", "reply"):
             self.registry.counter(f"homa.rtx.{direction}")
             self.registry.counter(f"homa.giveup.{direction}")
@@ -384,11 +372,7 @@ class Recorder:
         a backup ack.  The counters surface every degradation decision.
         """
         replicator.recorder = self
-        for key in replicator.stats:
-            self.registry.gauge(
-                f"{role}.{key}",
-                fn=lambda stats=replicator.stats, k=key: float(stats.get(k, 0)),
-            )
+        self._stat_gauges(role, replicator.stats)
         self.registry.gauge(
             f"{role}.pending",
             fn=lambda r=replicator: float(r.pending),
@@ -401,12 +385,16 @@ class Recorder:
 
     def attach_applier(self, applier, role="repl.apply"):
         """Watch a backup-side replication applier: apply/dedup counts."""
-        for key in applier.stats:
-            self.registry.gauge(
-                f"{role}.{key}",
-                fn=lambda stats=applier.stats, k=key: float(stats.get(k, 0)),
-            )
+        self._stat_gauges(role, applier.stats)
         return self
+
+    def _stat_gauges(self, prefix, stats):
+        """One gauge ``<prefix>.<key>`` per key of a live ``stats`` dict."""
+        for key in stats:
+            self.registry.gauge(
+                f"{prefix}.{key}",
+                fn=lambda k=key: float(stats.get(k, 0)),
+            )
 
     # -- span-link chains (Homa retransmissions) -------------------------------
 

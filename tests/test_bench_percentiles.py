@@ -126,14 +126,15 @@ class TestCannedRunRegression:
 
 
 # --------------------------------------------------------------------------
-# bucket_quantile vs digest quantile on the wall-clock speed scenarios.
+# bucket_quantile vs digest quantile on the golden scenarios.
 #
-# The raw-speed overhaul (repro.bench.speed and its hot-path rewrites)
-# must not perturb the percentile machinery: the t-digest answer has to
-# stay inside the divergence bound the fixed buckets imply, both on the
-# committed golden snapshots (pre-optimization captures, so any drift in
-# observe()/digest code shows up against frozen data) and on a live
-# scenario run through the optimized stack.
+# The raw-speed overhaul (the hot-path rewrites that the scenarios of
+# repro.bench.golden pin) must not perturb the percentile machinery:
+# the t-digest answer has to stay inside the divergence bound the fixed
+# buckets imply, both on the committed golden snapshots
+# (pre-optimization captures, so any drift in observe()/digest code
+# shows up against frozen data) and on a live scenario run through the
+# optimized stack.
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 

@@ -19,8 +19,8 @@ shows up as a digest mismatch here — which is what lets the perf work
 in this module's history claim "identical simulated results".
 
 To regenerate after an *intentional* behaviour change (never for a
-pure optimization):  PYTHONPATH=src python -m repro.bench.speed \
-    --golden tests/fixtures
+pure optimization):  PYTHONPATH=src python -m repro.bench.golden \
+    tests/fixtures
 """
 
 import json
@@ -28,7 +28,7 @@ import os
 
 import pytest
 
-from repro.bench.speed import SCENARIOS, run_scenario
+from repro.bench.golden import SCENARIOS, run_scenario
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -46,13 +46,13 @@ def _canonical(doc):
 def test_fixture_exists(name):
     assert os.path.exists(_fixture_path(name)), (
         f"missing golden fixture for {name}; regenerate with "
-        f"PYTHONPATH=src python -m repro.bench.speed --golden tests/fixtures"
+        f"PYTHONPATH=src python -m repro.bench.golden tests/fixtures"
     )
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_reproduces_golden_fixture(name):
-    golden = run_scenario(name, scale=1.0, golden=True)["golden"]
+    golden = run_scenario(name, scale=1.0)["golden"]
     with open(_fixture_path(name)) as handle:
         fixture_bytes = handle.read()
     fixture = json.loads(fixture_bytes)
@@ -72,8 +72,8 @@ def test_scenario_reproduces_golden_fixture(name):
 
 def test_goldens_are_deterministic_run_to_run():
     """Two in-process runs of the same scenario agree exactly."""
-    first = run_scenario("novelsm-ingest-recovery", scale=0.2, golden=True)
-    second = run_scenario("novelsm-ingest-recovery", scale=0.2, golden=True)
+    first = run_scenario("novelsm-ingest-recovery", scale=0.2)
+    second = run_scenario("novelsm-ingest-recovery", scale=0.2)
     assert first["golden"] == second["golden"]
     assert first["ops"] == second["ops"]
     assert first["events"] == second["events"]
