@@ -59,17 +59,18 @@ from repro.analysis.pmlint import arg_names, dotted_name, is_io_receiver
 
 #: Method names that are persistence primitives when called on a
 #: region/device-like receiver.  ``sync`` is the block-device layer's
-#: fence; ``persist``/``persist_payload`` are flush+fence in one call.
+#: fence; ``persist``/``persist_payload`` are flush+fence in one call,
+#: ``write_persist`` store+flush+fence.
 _FLUSH_NAMES = frozenset({"flush"})
 _FENCE_NAMES = frozenset({"fence"})
-_DRAIN_NAMES = frozenset({"persist", "sync", "persist_payload"})
+_DRAIN_NAMES = frozenset({"persist", "sync", "persist_payload", "write_persist"})
 
 #: The persistence primitives themselves (Region.flush forwarding to
 #: device.flush, ...).  Their bodies are the mechanism the events
 #: model; PM-I01 never reports inside them.
 PRIMITIVE_FORWARDERS = frozenset({
     "flush", "fence", "persist", "sync", "persist_payload",
-    "write", "writeback", "write_bytes",
+    "write", "writeback", "write_bytes", "write_persist",
 })
 
 #: Acquisition method names.  ``get``/``clone`` count only with zero

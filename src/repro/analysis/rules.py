@@ -26,6 +26,7 @@ from repro.analysis.pmlint import (
 #: the rules check *call sites of*, not call sites themselves.
 FORWARDER_NAMES = frozenset({
     "flush", "fence", "persist", "write", "writeback", "write_bytes",
+    "write_persist",
 })
 
 def _defers_to_caller(func_node):
@@ -43,7 +44,9 @@ def _persistence_events(func_node):
     """(kind, call) for flush/fence/persist traffic, in source order.
 
     A call with a ``fence=`` keyword (write_next-style helpers) counts
-    as a fence event: the callee fences on the caller's behalf.
+    as a fence event: the callee fences on the caller's behalf.  A
+    ``write_persist`` is a store and its drain in one call, so it counts
+    as a persist.
     """
     events = []
     for call, name, receiver in method_calls(func_node):
@@ -52,7 +55,8 @@ def _persistence_events(func_node):
             continue
         if name == "fence":
             events.append(("fence", call))
-        elif name == "persist" or name.startswith(("persist", "_persist")):
+        elif (name in ("persist", "write_persist")
+              or name.startswith(("persist", "_persist"))):
             events.append(("persist", call))
         elif name == "sync":
             # Block-device durability: sync() is the fence of that layer.
@@ -73,15 +77,19 @@ class WriteWithoutWriteback(Rule):
             "until written back — follow it with .flush()+.fence() or "
             ".persist(), or take a fence=/persist= parameter")
 
+    # write_persist is a store with its own drain: never flagged, and
+    # a bare write after it is still undrained.
     BAD = (
         "class Node:\n"
         "    def link(self, ctx):\n"
+        "        self.region.write_persist(0, b'hdr', ctx, 'persist')\n"
         "        self.region.write(8, b'ptr', ctx)\n"
         "        return True\n"
     )
     GOOD = (
         "class Node:\n"
         "    def link(self, ctx):\n"
+        "        self.region.write_persist(0, b'hdr', ctx, 'persist')\n"
         "        self.region.write(8, b'ptr', ctx)\n"
         "        self.region.persist(8, 3, ctx, 'persist')\n"
         "        return True\n"
@@ -177,7 +185,7 @@ class UnchargedPersistence(Rule):
     """Every modelled flush/fence costs simulated nanoseconds."""
 
     id = "CTX-01"
-    title = "flush/fence/persist call without an execution context"
+    title = "flush/fence/persist/write_persist call without an execution context"
     severity = "warn"
     hint = ("pass the ExecutionContext so the operation charges "
             "flush_line_ns/fence_ns to the right core (pass NULL_CONTEXT "
@@ -188,16 +196,18 @@ class UnchargedPersistence(Rule):
         "    def commit(self):\n"
         "        self.region.flush(0, 64)\n"
         "        self.region.fence()\n"
+        "        self.region.write_persist(0, b'root')\n"
     )
     GOOD = (
         "class Slab:\n"
         "    def commit(self, ctx):\n"
         "        self.region.flush(0, 64, ctx, 'persist')\n"
         "        self.region.fence(ctx)\n"
+        "        self.region.write_persist(0, b'root', ctx, 'persist')\n"
     )
 
     #: positional slot the ctx occupies per method (0-based).
-    _CTX_SLOT = {"flush": 2, "persist": 2, "fence": 0}
+    _CTX_SLOT = {"flush": 2, "persist": 2, "fence": 0, "write_persist": 2}
 
     def check(self, module):
         for func, qualname in module.functions():

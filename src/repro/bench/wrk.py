@@ -401,12 +401,17 @@ class WrkClient:
         self.stats.measure_start = sim.now + self.warmup_ns
         self.stats.measure_end = self.stop_at
 
-    def run(self):
-        """Start (if needed) and run the simulator until all loops stop."""
+    def run(self, advance=None):
+        """Start (if needed) and run the simulator until all loops stop.
+
+        ``advance(until, max_events)`` moves the clock; it defaults to
+        ``sim.run``, and a watcher passes one that stops on the way.
+        """
         if self.started_at is None:
             self.start()
+        advance = advance or self.host.sim.run
         # Loops stop by themselves at stop_at; allow trailing ACK traffic.
-        self.host.sim.run(until=self.stop_at + ACK_GRACE_NS)
+        advance(self.stop_at + ACK_GRACE_NS, None)
         return self.stats
 
     def stalled(self):
@@ -644,21 +649,21 @@ class OpenLoopWrkClient(WrkClient):
         self._schedule_next_arrival(self.host.sim.now)
         return self
 
-    def run(self, max_events=50_000_000):
+    def run(self, max_events=50_000_000, advance=None):
         if self.started_at is None:
             self.start()
         sim = self.host.sim
-        sim.run(until=self.stop_at)
+        advance = advance or sim.run
+        advance(self.stop_at, None)
         # Clients hang up at the end of the window: queued-but-unsent
         # arrivals are recorded, not silently replayed after the test.
         self.stats.backlog_at_stop = len(self._backlog)
         self._backlog.clear()
-        sim.run(until=self.stop_at + self.drain_grace_ns,
-                max_events=max_events)
+        advance(self.stop_at + self.drain_grace_ns, max_events)
         for conn in list(self._conns):
             self._retire(conn)
         # Settle FIN handshakes so pool gauges reach their resting state.
-        sim.run(until=sim.now + 5_000_000.0, max_events=max_events)
+        advance(sim.now + 5_000_000.0, max_events)
         return self.stats
 
     def _spawn_conn(self, pending=None):

@@ -220,8 +220,9 @@ class PMetaSlab:
     # -- root pointer -----------------------------------------------------------
 
     def write_root(self, head_slot, ctx=NULL_CONTEXT):
-        self.region.write(0, self._ROOT.pack(self._ROOT_MAGIC, head_slot, 0))
-        self.region.persist(0, self._ROOT.size, ctx, "persist")
+        self.region.write_persist(
+            0, self._ROOT.pack(self._ROOT_MAGIC, head_slot, 0), ctx, "persist"
+        )
 
     def read_root(self):
         magic, head_slot, _ = self._ROOT.unpack(self.region.read(0, self._ROOT.size))
@@ -264,9 +265,10 @@ class PMetaSlab:
 
     def write_record(self, slot, record, ctx=NULL_CONTEXT, persist=True):
         base = self.slot_base(slot)
-        self.region.write(base, record.encode())
         if persist:
-            self.region.persist(base, RECORD_SIZE, ctx, "persist")
+            self.region.write_persist(base, record.encode(), ctx, "persist")
+        else:
+            self.region.write(base, record.encode())
 
     def read_record(self, slot, check=False):
         return PPktRecord.decode(self.region.read(self.slot_base(slot), RECORD_SIZE),
@@ -342,10 +344,11 @@ class PMetaSlab:
 
     def write_next(self, slot, level, target, ctx=NULL_CONTEXT, fence=True):
         addr = self.slot_base(slot) + NEXT_OFF + 8 * level
-        self.region.write(addr, struct.pack("<Q", target))
-        self.region.flush(addr, 8, ctx, "persist")
         if fence:
-            self.region.fence(ctx, "persist")
+            self.region.write_persist(addr, struct.pack("<Q", target), ctx, "persist")
+        else:
+            self.region.write(addr, struct.pack("<Q", target))
+            self.region.flush(addr, 8, ctx, "persist")
 
     def valid_record(self, slot):
         """Decode + CRC-check; returns the record or None."""

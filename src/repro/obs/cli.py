@@ -199,26 +199,35 @@ def _run_openloop(args):
 
 
 def _watched_run(testbed, wrk, interval_ns):
-    """Drive the wrk run in interval-sized steps, snapshotting between.
+    """Run ``wrk`` through its own ``run()``, snapshotting on the way.
 
-    Every entry is the full ``registry.snapshot()`` — the same call the
-    one-shot export uses — so the periodic documents are schema-identical
-    to the final one.  The last snapshot lands at the end of the run
-    (after the trailing-ACK grace), so ``watch[-1]`` matches the final
+    The client moves the clock through the ``advance`` given here, which
+    stops at every interval boundary and at the end of each of the
+    run's own steps to take a snapshot, so a watched run ends exactly
+    as an unwatched one.  Every entry is the full
+    ``registry.snapshot()`` — the same call the one-shot export uses —
+    so the periodic documents are schema-identical to the final one,
+    and ``watch[-1]``, taken at the end of the run, matches the final
     ``snapshot`` document's totals.
     """
-    from repro.bench.wrk import ACK_GRACE_NS
-
-    wrk.start()
     sim = testbed.sim
-    stop = wrk.stop_at + ACK_GRACE_NS
+    registry = testbed.recorder.registry
     watch = []
-    now = sim.now
-    while now < stop:
-        now = min(now + interval_ns, stop)
-        sim.run(until=now)
-        watch.append(testbed.recorder.registry.snapshot())
-    return wrk.stats, watch
+    next_at = sim.now + interval_ns
+
+    def advance(until, max_events=None):
+        nonlocal next_at
+        while True:
+            step = min(next_at, until)
+            sim.run(until=step, max_events=max_events)
+            if step == next_at:
+                next_at += interval_ns
+            if not watch or watch[-1]["sim_now_ns"] < sim.now:
+                watch.append(registry.snapshot())
+            if step == until:
+                return
+
+    return wrk.run(advance=advance), watch
 
 
 def _run_storm(args):

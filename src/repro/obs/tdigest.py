@@ -40,9 +40,12 @@ callers compose the factor and the ``1/n`` term.
 
 **Determinism** (PMLint DET-01): no randomness, no wall clock.  The
 digest is a pure function of the insertion sequence — an instrumented
-run replays byte-identically.  (Dunning's reference implementation
-shuffles the merge buffer; we keep a stable sort instead and accept
-the slightly more ordered clustering.)
+run replays byte-identically.  Reads never change it: a query answers
+from the compacted view of centroids + buffer without storing it, so
+how often a run is observed cannot move its later quantiles.
+(Dunning's reference implementation shuffles the merge buffer; we keep
+a stable sort instead and accept the slightly more ordered
+clustering.)
 
 **Merging across cores**: ``merge`` folds another digest's centroids
 into this one, and ``to_dict``/``from_dict`` serialise the full state,
@@ -79,7 +82,7 @@ class TDigest:
     """
 
     __slots__ = ("compression", "_means", "_weights", "_buffer", "count",
-                 "min", "max")
+                 "min", "max", "_view_cache")
 
     def __init__(self, compression=DEFAULT_COMPRESSION):
         if compression < 20:
@@ -91,6 +94,8 @@ class TDigest:
         self._means = []        # centroid means, sorted after compaction
         self._weights = []      # centroid weights, parallel to _means
         self._buffer = []       # (value, weight) awaiting compaction
+        #: ``(len(_buffer), means, weights)`` of the last read's view.
+        self._view_cache = None
         self.count = 0.0
         self.min = None
         self.max = None
@@ -127,8 +132,7 @@ class TDigest:
 
     def merge(self, other):
         """Fold another digest's centroids into this one (other unchanged)."""
-        other._compress()
-        for mean, weight in zip(other._means, other._weights):
+        for mean, weight in zip(*other._view()):
             self._buffer.append((mean, weight))
             self.count += weight
         if other.min is not None and (self.min is None or other.min < self.min):
@@ -139,14 +143,27 @@ class TDigest:
         return self
 
     def _compress(self):
-        """One merge pass: sort centroids + buffer, greedily re-cluster."""
+        """Store the compacted centroids and empty the buffer."""
         if not self._buffer:
             return
-        points = sorted(
-            [(m, w) for m, w in zip(self._means, self._weights)]
-            + self._buffer
-        )
+        self._means, self._weights = self._view()
         self._buffer = []
+        self._view_cache = None
+
+    def _view(self):
+        """``(means, weights)`` of everything added, compacted, without
+        storing it; repeated reads between two adds share one pass."""
+        buffer = self._buffer
+        if not buffer:
+            return self._means, self._weights
+        cached = self._view_cache
+        if cached is None or cached[0] != len(buffer):
+            points = sorted(list(zip(self._means, self._weights)) + buffer)
+            cached = self._view_cache = (len(buffer), *self._cluster(points))
+        return cached[1], cached[2]
+
+    def _cluster(self, points):
+        """One merge pass over sorted ``points``: greedy re-clustering."""
         total = self.count
         means, weights = [], []
         cur_mean, cur_weight = points[0]
@@ -166,20 +183,17 @@ class TDigest:
                 cur_mean, cur_weight = mean, weight
         means.append(cur_mean)
         weights.append(cur_weight)
-        self._means = means
-        self._weights = weights
+        return means, weights
 
     # -- query -----------------------------------------------------------------
 
     @property
     def centroid_count(self):
-        self._compress()
-        return len(self._means)
+        return len(self._view()[0])
 
     def centroids(self):
         """[(mean, weight), ...] after compaction — sorted, bounded."""
-        self._compress()
-        return list(zip(self._means, self._weights))
+        return list(zip(*self._view()))
 
     def quantile(self, q):
         """Estimate the ``q``-quantile of everything added so far.
@@ -191,11 +205,11 @@ class TDigest:
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
-        self._compress()
-        if not self._means:
+        means, weights = self._view()
+        if not means:
             return 0.0
-        if len(self._means) == 1:
-            return self._means[0]
+        if len(means) == 1:
+            return means[0]
         if q <= 0.0:
             return self.min
         if q >= 1.0:
@@ -205,19 +219,19 @@ class TDigest:
         # centroid of weight w centred at cum-w/2 represents its mean.
         cum = 0.0
         mids = []
-        for weight in self._weights:
+        for weight in weights:
             mids.append(cum + weight / 2.0)
             cum += weight
         index = bisect_right(mids, target)
         if index == 0:
             lo_x, lo_v = 0.0, self.min
-            hi_x, hi_v = mids[0], self._means[0]
+            hi_x, hi_v = mids[0], means[0]
         elif index == len(mids):
-            lo_x, lo_v = mids[-1], self._means[-1]
+            lo_x, lo_v = mids[-1], means[-1]
             hi_x, hi_v = self.count, self.max
         else:
-            lo_x, lo_v = mids[index - 1], self._means[index - 1]
-            hi_x, hi_v = mids[index], self._means[index]
+            lo_x, lo_v = mids[index - 1], means[index - 1]
+            hi_x, hi_v = mids[index], means[index]
         if hi_x <= lo_x:
             return hi_v
         frac = (target - lo_x) / (hi_x - lo_x)
@@ -233,14 +247,12 @@ class TDigest:
 
     def to_dict(self):
         """JSON-ready state; ``from_dict`` round-trips it exactly."""
-        self._compress()
         return {
             "compression": self.compression,
             "count": self.count,
             "min": self.min,
             "max": self.max,
-            "centroids": [[m, w] for m, w in
-                          zip(self._means, self._weights)],
+            "centroids": [[m, w] for m, w in zip(*self._view())],
         }
 
     @classmethod
@@ -257,6 +269,7 @@ class TDigest:
         self._means = []
         self._weights = []
         self._buffer = []
+        self._view_cache = None
         self.count = 0.0
         self.min = None
         self.max = None
@@ -298,11 +311,11 @@ class _MisMergedDigest(TDigest):
     *statistics* are wrong.  The conformance bound must catch it.
     """
 
-    def _compress(self):
-        super()._compress()
-        if len(self._means) > 8:
-            self._means = self._means[::2]
-            self._weights = self._weights[::2]
+    def _cluster(self, points):
+        means, weights = super()._cluster(points)
+        if len(means) > 8:
+            return means[::2], weights[::2]
+        return means, weights
 
 
 def check_conformance(digest_cls, samples, quantiles=(0.01, 0.1, 0.25, 0.5,

@@ -112,14 +112,15 @@ class PMAllocator(PressureSignal):
     # -- persistence helpers -------------------------------------------------
 
     def _write_heap_end(self, ctx):
-        self.region.write(0, struct.pack("<Q", self._heap_end))
-        self.region.persist(0, 8, ctx, self.persist_category)
+        self.region.write_persist(
+            0, struct.pack("<Q", self._heap_end), ctx, self.persist_category
+        )
 
     def _write_header(self, block_off, payload_size, flags, ctx):
-        self.region.write(
-            block_off, HEADER.pack(MAGIC, payload_size, flags, 0)
+        self.region.write_persist(
+            block_off, HEADER.pack(MAGIC, payload_size, flags, 0),
+            ctx, self.persist_category,
         )
-        self.region.persist(block_off, HEADER_SIZE, ctx, self.persist_category)
 
     def _read_header(self, block_off, persisted=False):
         if persisted and self.region.persistent:

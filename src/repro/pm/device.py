@@ -12,6 +12,19 @@ kinds exist:
   since they last persisted; ``crash()`` writes those lines back in
   place, so the image reverts to what reached the persistence domain.
 
+``write_persist(offset, payload, ctx, category)`` is the store → clwb →
+sfence triple over exactly the stored span, in one call.  It means
+``write`` + ``flush`` + ``fence`` and is bit-identical to them in data,
+tracker state, counters and charges.  On a :class:`PMDevice` it takes a
+fast path when nothing is pending, no observer is attached and no line
+of the span is in the tracker's shadow.  The shadow always covers the
+dirty and pending lines, so then the span's lines are clean, and the
+triple dirties them, writes them back and drains them, leaving
+``dirty``, ``pending`` and ``shadow`` as they were.  Only the bytes, the
+three counters and the two charges (``lines * flush_line_ns``, then
+``fence_ns``) change, and that is all the fast path does.  Every other
+case makes the three calls.
+
 Cost-charging convention: ``read``/``write`` do **not** implicitly
 charge time, because bulk data movement (copies, checksums) is priced
 by the cost model of the actor doing it and would otherwise be charged
@@ -119,6 +132,11 @@ class MemoryDevice:
         self.fence(ctx, category)
         return lines
 
+    def write_persist(self, offset, payload, ctx=NULL_CONTEXT, category="pm.flush"):
+        """write + persist of exactly the written span; on DRAM, a write."""
+        self.write(offset, payload)
+        return self.persist(offset, len(payload), ctx, category)
+
     def crash(self):
         """Power loss.  Volatile contents are zeroed."""
         self.crashes += 1
@@ -195,6 +213,35 @@ class PMDevice(MemoryDevice):
         drained = self.tracker.fence()
         ctx.charge(self.fence_ns, category)
         return drained
+
+    def write_persist(self, offset, payload, ctx=NULL_CONTEXT, category="pm.flush"):
+        """store, clwb and sfence over exactly ``payload``'s span.
+
+        Equal to ``write`` + ``flush`` + ``fence`` in every observable
+        (see the module docstring); returns the lines written back.
+        """
+        length = len(payload)
+        tracker = self.tracker
+        if (length and self.observer is None and not tracker.pending
+                and offset >= 0 and offset + length <= self.size):
+            line_size = tracker.line_size
+            first = offset // line_size
+            last = (offset + length - 1) // line_size
+            shadow = tracker.shadow
+            if first == last:
+                clean = first not in shadow
+            else:
+                clean = not shadow or shadow.keys().isdisjoint(range(first, last + 1))
+            if clean:
+                tracker.stores += 1
+                tracker.flushes += 1
+                tracker.fences += 1
+                self.data[offset:offset + length] = payload
+                lines = last - first + 1
+                ctx.charge(lines * self.flush_line_ns, category)
+                ctx.charge(self.fence_ns, category)
+                return lines
+        return super().write_persist(offset, payload, ctx, category)
 
     def crash(self, rng=None, pending_persist_prob=0.5):
         """Power loss: CPU-visible view reverts to what was persisted.
@@ -309,6 +356,12 @@ class Region:
         lines = device.flush(self.base + offset, length, ctx, category)
         device.fence(ctx, category)
         return lines
+
+    def write_persist(self, offset, payload, ctx=NULL_CONTEXT, category="pm.flush"):
+        """write + persist of exactly the written span, bounds-checked once."""
+        if offset < 0 or offset + len(payload) > self.size:
+            self._check(offset, len(payload))
+        return self.device.write_persist(self.base + offset, payload, ctx, category)
 
     def charge_access(self, ctx, count=1, category="mem.access"):
         return self.device.charge_access(ctx, count, category)

@@ -145,8 +145,7 @@ class PMNamespace:
         # one does NOT occupy; only a fully-persisted, CRC-valid write
         # can ever outrank the incumbent at reopen.
         offset = (seq % 2) * DIR_SLOT_SIZE
-        self.device.write(offset, blob)
-        self.device.persist(offset, len(blob), ctx)
+        self.device.write_persist(offset, blob, ctx)
         self._dir_seq = seq
 
     def create(self, name, size, ctx=NULL_CONTEXT):

@@ -126,14 +126,16 @@ class RawPMEngine:
         # Data copy out of the socket buffer into the PM region
         # (Table 1 prices this at ~1.1 ns/B), then flush to persist.
         self.costs.charge_store_copy(ctx, len(value))
-        self.region.write(self.cursor, self._HEADER.pack(len(value)) + value)
-        self.region.persist(self.cursor, need, ctx, "persist")
+        self.region.write_persist(
+            self.cursor, self._HEADER.pack(len(value)) + value, ctx, "persist"
+        )
         self.cursor += need
         # The ring's durable cursor (at the region tail) is what a
         # restart would resume from — persisted with its own fence,
         # like any PM ring buffer.
-        self.region.write(self.region.size - 8, struct.pack("<Q", self.cursor))
-        self.region.persist(self.region.size - 8, 8, ctx, "persist")
+        self.region.write_persist(
+            self.region.size - 8, struct.pack("<Q", self.cursor), ctx, "persist"
+        )
         self.puts += 1
 
     def get(self, key, ctx):

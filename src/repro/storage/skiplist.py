@@ -301,8 +301,7 @@ class RegionSkipList(PersistentSkipList):
             b"", b"", MAX_HEIGHT, 0, 0,
             [0] * MAX_HEIGHT, NULL_CONTEXT,
         )
-        region.write(0, ROOT.pack(ROOT_MAGIC, slist.head, 0))
-        region.persist(0, ROOT.size, NULL_CONTEXT)
+        region.write_persist(0, ROOT.pack(ROOT_MAGIC, slist.head, 0), NULL_CONTEXT)
         return slist
 
     @classmethod
@@ -366,10 +365,11 @@ class RegionSkipList(PersistentSkipList):
 
     def _set_next(self, node_off, level, target, ctx, fence=False):
         addr = node_off + HEADER_SIZE + 8 * level
-        self.region.write(addr, NEXT.pack(target))
-        self.region.flush(addr, 8, ctx, PERSIST_CATEGORY)
         if fence:
-            self.region.fence(ctx, PERSIST_CATEGORY)
+            self.region.write_persist(addr, NEXT.pack(target), ctx, PERSIST_CATEGORY)
+        else:
+            self.region.write(addr, NEXT.pack(target))
+            self.region.flush(addr, 8, ctx, PERSIST_CATEGORY)
 
     def _node_size(self, key_len, value_len, height):
         return HEADER_SIZE + 8 * height + key_len + value_len
@@ -399,8 +399,7 @@ class RegionSkipList(PersistentSkipList):
             + key
             + value
         )
-        self.region.write(node_off, blob)
-        self.region.persist(node_off, len(blob), ctx, PERSIST_CATEGORY)
+        self.region.write_persist(node_off, blob, ctx, PERSIST_CATEGORY)
         return node_off
 
     def _validate_node(self, node_off):

@@ -12,7 +12,7 @@ additive, so a workload recorded once can be replayed offline against
 every crash point without re-running it (:mod:`repro.testing.replay`).
 """
 
-from repro.pm.device import PMDevice
+from repro.pm.device import MemoryDevice, PMDevice
 from repro.storage.blockdev import BlockDevice
 from repro.sim.context import NULL_CONTEXT
 
@@ -70,6 +70,11 @@ class RecordingPMDevice(PMDevice):
         drained = super().fence(ctx, category)
         self.trace.append(EV_FENCE, time=self._now())
         return drained
+
+    def write_persist(self, offset, payload, ctx=NULL_CONTEXT, category="pm.flush"):
+        # Never the fast path: the write, flush and fence are each
+        # recorded, so crash points land between them.
+        return MemoryDevice.write_persist(self, offset, payload, ctx, category)
 
 
 class RecordingBlockDevice(BlockDevice):

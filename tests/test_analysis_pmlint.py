@@ -83,6 +83,54 @@ class TestFlushFenceRules:
         assert not active(program_source(source), rule="PM-I01")
 
 
+class TestWritePersist:
+    """``write_persist`` is a store and its drain in one call."""
+
+    def test_fused_store_is_not_flagged(self):
+        source = (
+            "def commit(region, blob, ctx):\n"
+            "    region.write_persist(0, blob, ctx, 'persist')\n"
+        )
+        assert not active(lint_source(source))
+        assert not active(program_source(source))
+
+    def test_bare_write_after_it_is_still_flagged(self):
+        source = (
+            "def commit(region, blob, ctx):\n"
+            "    region.write_persist(0, blob, ctx, 'persist')\n"
+            "    region.write(64, blob)\n"
+        )
+        findings = active(lint_source(source), rule="PM-W02")
+        assert [f.line for f in findings] == [3]
+
+    def test_it_drains_an_earlier_flush(self):
+        source = (
+            "def commit(region, blob, ctx):\n"
+            "    region.write(64, blob)\n"
+            "    region.flush(64, len(blob), ctx)\n"
+            "    region.write_persist(0, blob, ctx, 'persist')\n"
+        )
+        assert not active(program_source(source), rule="PM-I01")
+        assert not active(lint_source(source), rule="PM-W02")
+
+    def test_without_ctx_it_trips_ctx01(self):
+        source = (
+            "def commit(region, blob, ctx):\n"
+            "    region.write_persist(0, blob)\n"
+            "    region.write_persist(64, blob, ctx=ctx)\n"
+        )
+        findings = active(lint_source(source), rule="CTX-01")
+        assert [f.line for f in findings] == [2]
+
+    def test_planted_ctx01_example_flags_the_fused_call(self):
+        rule = next(pmlint.iter_rules(select={"CTX-01"}))
+        module = pmlint.ModuleSource(rule.BAD_PATH, rule.BAD)
+        lines = {f.line for f in rule.check(module)}
+        fused = 1 + rule.BAD.splitlines().index(
+            "        self.region.write_persist(0, b'root')")
+        assert fused in lines
+
+
 class TestSuppressions:
     def test_inline_suppression_with_reason_honored(self):
         source = (

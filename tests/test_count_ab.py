@@ -30,6 +30,8 @@ opcodes = spec["opcodes"].get(args[0], 10_000)
 print(f"{args[0]} seed 1 scale 0.1 (Python 3): 100 ops")
 print(f"opcodes/op {opcodes:,.0f}   calls/op {opcodes / 40:,.1f}")
 print(f"{'opcodes/op':>11} {'share':>6} {'calls/op':>9}  function")
+for rank in range(int(args[args.index("--top") + 1])):
+    print(f"{100:11,} {0.01:6.1%} {1.0:9.2f}  {root.name}_fn_{rank}")
 sys.exit(spec["exit"])
 '''
 
@@ -58,7 +60,22 @@ def test_equal_counts_pass_on_every_workload(tmp_path):
     assert proc.stdout.count("+0.00 %") == len(WORKLOADS)
     assert proc.stdout.rstrip().endswith("count_ab: pass")
     for call in calls:
-        assert call[1:] == [call[1], "--scale", "0.1", "--top", "0"]
+        top = "0" if call[0] == "base" else "10"
+        assert call[1:] == [call[1], "--scale", "0.1", "--top", top]
+
+
+def test_prints_the_candidate_top_ten_after_each_verdict(tmp_path):
+    proc, _ = _gate(tmp_path, _tree(tmp_path, "base"),
+                    _tree(tmp_path, "cand"))
+    lines = proc.stdout.splitlines()
+    assert not any("base_fn_" in line for line in lines)
+    assert sum("cand_fn_" in line for line in lines) == 10 * len(WORKLOADS)
+    for w in WORKLOADS:
+        verdict = next(i for i, line in enumerate(lines)
+                       if line.startswith(w) and "bound" in line)
+        assert lines[verdict + 1].split() == [
+            "opcodes/op", "share", "calls/op", "function"]
+        assert lines[verdict + 11].endswith("cand_fn_9")
 
 
 def test_each_tree_runs_its_own_counter(tmp_path):

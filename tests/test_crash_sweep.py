@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.ppktbuf import PMetaSlab
 from repro.pm.device import PMDevice
+from repro.sim.context import NULL_CONTEXT
 from repro.storage.skiplist import _XorShift
 from repro.testing import (
     ABSENT,
@@ -25,6 +26,7 @@ from repro.testing import (
     mixed_ops,
     sequential_puts,
 )
+from repro.testing.events import EV_FENCE, EV_FLUSH, EV_WRITE
 
 
 # --------------------------------------------------------------- replay layer
@@ -180,6 +182,28 @@ def test_pktstore_sweep_with_deletes_and_overwrites():
     world.delete(b"beta")
     report = world.sweep().run()
     assert report.ok, report.summary()
+
+
+def test_write_persist_records_write_flush_fence():
+    device = RecordingPMDevice(4096)
+    device.write_persist(60, b"y" * 10, NULL_CONTEXT, "persist")
+    assert [event.kind for event in device.trace] == [
+        EV_WRITE, EV_FLUSH, EV_FENCE]
+    assert not device.tracker.dirty and not device.tracker.pending
+
+
+@pytest.mark.parametrize("world_class, recorded", [
+    (NoveLSMWorld, (288, 21, {"write": 97, "flush": 97, "fence": 94})),
+    (PacketStoreWorld, (201, 15, {"write": 67, "flush": 67, "fence": 67})),
+])
+def test_fused_sites_record_the_three_call_trace(world_class, recorded):
+    """Sites that store and persist one span in one ``write_persist``
+    still record its write, flush and fence: the same events, in the
+    same numbers, as when they made the three calls."""
+    world = world_class(seed=3)
+    sequential_puts(world, n=20, value_size=100)
+    trace = world.device.trace
+    assert (len(trace), trace.setup_events, trace.counts()) == recorded
 
 
 def test_sweep_detects_removed_commit_fence(monkeypatch):

@@ -190,6 +190,24 @@ class TestDeterminism:
         assert first.quantile(0.99) == second.quantile(0.99)
 
     @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           every=st.integers(40, 400))
+    def test_property_reads_change_nothing(self, seed, every):
+        """Querying mid-stream (a watched run's snapshots) leaves every
+        later answer as it would have been unobserved."""
+        samples = draw_samples(random.Random(seed), "bimodal", 2_500)
+        watched, plain = TDigest(), TDigest()
+        for index, value in enumerate(samples):
+            watched.add(value)
+            plain.add(value)
+            if index % every == 0:
+                watched.quantile(0.99)
+                watched.centroids()
+                merged([watched])
+        assert watched.to_dict() == plain.to_dict()
+        assert watched.quantile(0.5) == plain.quantile(0.5)
+
+    @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_property_serialisation_round_trips_exactly(self, seed):
         rng = random.Random(seed)

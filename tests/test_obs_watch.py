@@ -116,6 +116,31 @@ class TestWatchRendering:
         assert quantiles["p50"] <= quantiles["p99"] <= quantiles["p99.9"]
 
 
+def _export(tmp_path, name, args):
+    path = tmp_path / f"{name}.json"
+    assert main([*args, "--json", str(path)]) == 0
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+class TestWatchChangesOnlyTheSnapshots:
+    """A watched run ends as the client's own ``run()`` ends it, and
+    reading metrics mid-run perturbs none of them."""
+
+    @pytest.mark.parametrize("mode", [
+        ["--openloop", "45"],
+        [],
+    ], ids=["openloop", "closed-loop"])
+    def test_final_snapshot_identical_with_and_without_watch(self, tmp_path, mode):
+        args = [*mode, "--duration-us", "10000", "--warmup-us", "2000"]
+        plain = _export(tmp_path, "plain", args)
+        watched = _export(tmp_path, "watched", [*args, "--watch", "2000"])
+        assert len(watched["watch"]) >= 6
+        assert watched["snapshot"] == plain["snapshot"]
+        assert watched["workload"] == plain["workload"]
+        assert watched["watch"][-1] == watched["snapshot"]
+
+
 class TestWatchGuards:
     def test_watch_rejects_storm_mode(self, capsys):
         with pytest.raises(SystemExit):

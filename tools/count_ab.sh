@@ -4,9 +4,11 @@
 #     tools/count_ab.sh BASE_TREE CAND_TREE [WORKLOAD...]
 #
 # For each workload (default: every one in CAND_TREE's BENCHMARK.json)
-# runs each tree's own `tools/opcount.py WORKLOAD --scale 0.1 --top 0`
-# and prints both trees' opcodes/op and calls/op.  Exits 1 if either
-# run exits non-zero or CAND's opcodes/op is more than 5 % above BASE's.
+# runs each tree's own `tools/opcount.py WORKLOAD --scale 0.1` (--top 0
+# for BASE, --top 10 for CAND) and prints both trees' opcodes/op and
+# calls/op, then CAND's ten functions with the most bytecodes of their
+# own.  Exits 1 if either run exits non-zero or CAND's opcodes/op is
+# more than 5 % above BASE's.
 # The count repeats exactly on one interpreter, so both trees run under
 # the same python3, once each, with no retries.
 set -u
@@ -29,8 +31,8 @@ counts() { awk '$1 == "opcodes/op" { gsub(",", ""); print $2, $4; exit }' "$out/
 status=0
 for w in "$@"; do
     for side in base cand; do
-        case $side in base) tree=$base ;; *) tree=$cand ;; esac
-        python3 "$tree/tools/opcount.py" "$w" --scale 0.1 --top 0 \
+        case $side in base) tree=$base top=0 ;; *) tree=$cand top=10 ;; esac
+        python3 "$tree/tools/opcount.py" "$w" --scale 0.1 --top $top \
             >"$out/$side" 2>&1 \
             || { cat "$out/$side"; echo "FAIL: the $side count of $w exited non-zero"; status=1; }
     done
@@ -45,6 +47,8 @@ for w in "$@"; do
             worse ? "WORSE" : "ok"
         exit worse
     }' || status=1
+    # The table after the summary line: its header, then one row a function.
+    awk 'table; $1 == "opcodes/op" && $2 == "share" { table = 1; print }' "$out/cand"
 done
 [ $status -eq 0 ] && echo "count_ab: pass" || echo "count_ab: FAIL"
 exit $status
