@@ -1,4 +1,4 @@
-"""Golden fixtures: the simulated results of four canned scenarios.
+"""Golden fixtures: the simulated results of five canned scenarios.
 
 Each scenario is a seeded, fixed-duration run:
 
@@ -9,12 +9,16 @@ Each scenario is a seeded, fixed-duration run:
 - ``novelsm-ingest-recovery`` — direct NoveLSM ingest into PM, a
                              deterministic crash, and reattach,
 - ``cluster-2shard``       — sharded PUT storm over a 2-host
-                             replicated cluster.
+                             replicated cluster,
+- ``pktstore-homa``        — YCSB-B over Homa against a 4-core packet
+                             store, ``gc``, then a PUT phase that reuses
+                             the freed metadata and buffer slots.
 
 :func:`run_scenario` returns the run's op and event counts plus a
 ``golden`` document: the digest of the exact fired-event sequence, the
 wrk latency stats, the metrics snapshot and, for the ingest, digests of
-the recovered mapping and the op journal.  The fixtures
+the recovered mapping and the op journal; for the packet store, a digest
+of where every live record and its payload sit.  The fixtures
 ``tests/fixtures/speed_golden_*.json`` hold those documents, and
 ``tests/test_speed_equivalence.py`` asserts that the code still
 reproduces them byte for byte.  Regenerate them, only after an
@@ -232,11 +236,74 @@ def scenario_cluster_2shard(scale=1.0):
     return result
 
 
+def _live_records_digest(store):
+    """sha256 over ``(slot, key, seq, frag buffer slots)`` of every live
+    record, in level-0 order: pins which metadata and buffer slots the
+    store's allocators handed out."""
+    digest = hashlib.sha256()
+    for link in store._chain(0):
+        record = store.slab.read_record(link - 1)
+        buffers = [buf_slot for buf_slot, _off, _length
+                   in store.slab.read_frags(record)]
+        digest.update(f"{link - 1}|{record.key!r}|{record.seq}|"
+                      f"{buffers}\n".encode())
+    return digest.hexdigest()
+
+
+def scenario_pktstore_homa(scale=1.0):
+    """YCSB-B over Homa against a 4-core packet store, ``gc``, then PUTs.
+
+    The PUT phase allocates from the slab and pool slots that ``gc``
+    released, so the fixture pins both allocators' reuse order as well
+    as the event stream.
+    """
+    config = ServerConfig(transport="homa", engine="pktstore", cores=4,
+                          metrics=True)
+    testbed = make_testbed(config=config)
+    preload(testbed, entries=200, value_size=1024)
+    store = testbed.engine.store
+    digest = _EventDigest(testbed.sim)
+    workload = YcsbWorkload(mix="B", key_space=200, value_size=1024, seed=3)
+    reads = HomaWrkClient(
+        testbed.client, SERVER_IP, connections=8, value_size=1024,
+        duration_ns=scale * 4_000_000.0, warmup_ns=1_000_000.0,
+        workload=workload,
+    ).run()
+    reclaimed = store.gc()
+    puts = HomaWrkClient(
+        testbed.client, SERVER_IP, connections=8, value_size=1024,
+        method="PUT", key_space=200, key_prefix="warm",
+        duration_ns=scale * 4_000_000.0, warmup_ns=1_000_000.0,
+    ).run()
+    sim = testbed.sim
+    return {
+        "ops": reads.completed + puts.completed,
+        "events": sim.events_fired,
+        "sim_ns": sim.now,
+        "golden": {
+            "event_digest": digest.hexdigest(),
+            "events_fired": sim.events_fired,
+            "sim_now_ns": sim.now,
+            "stats": _stats_golden(reads),
+            "put_stats": _stats_golden(puts),
+            "reads": workload.issued_reads,
+            "writes": workload.issued_writes,
+            "reclaimed": reclaimed,
+            "live_records": store.count,
+            "slab_used": store.slab.used,
+            "pool_in_use": store.pool.in_use,
+            "records_digest": _live_records_digest(store),
+            "metrics": testbed.metrics.snapshot(),
+        },
+    }
+
+
 SCENARIOS = {
     "wrk-tcp": scenario_wrk_tcp,
     "homa-storm": scenario_homa_storm,
     "novelsm-ingest-recovery": scenario_novelsm_ingest_recovery,
     "cluster-2shard": scenario_cluster_2shard,
+    "pktstore-homa": scenario_pktstore_homa,
 }
 
 
