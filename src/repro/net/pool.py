@@ -102,7 +102,15 @@ class PacketBuffer:
 
 
 class BufferPool(PressureSignal):
-    """Fixed-slot allocator over a region; LIFO free list for cache warmth.
+    """Fixed-slot allocator over a region; LIFO reuse for cache warmth.
+
+    Free slots are kept lazily, as in :class:`~repro.pm.alloc.PMAllocator`:
+    a bump index (the lowest slot never handed out) and a stack of the
+    slots released since.  ``alloc`` hands out the most recently
+    released slot first, then the lowest slot never handed out, so a
+    pool costs what it holds, not what it could hold.  Recovery's
+    :meth:`buffer_at_slot` keeps that order: a never-used slot it adopts
+    is skipped by the bump, a released one leaves the stack.
 
     Occupancy watermarks make the pool a *pressure signal* for the
     serving layer (``repro.core.overload``): crossing ``high_watermark``
@@ -129,7 +137,12 @@ class BufferPool(PressureSignal):
             raise ValueError(
                 f"region {region.name} ({region.size}B) smaller than one slot"
             )
-        self._free = list(range(self.nslots - 1, -1, -1))
+        #: Lowest slot never handed out; the slots above it that
+        #: recovery adopted, which the bump skips.
+        self._next = 0
+        self._adopted = set()
+        #: Released slots, the most recent last.
+        self._recycled = []
         self._in_use = set()
         self.allocs = 0
         self.frees = 0
@@ -146,7 +159,7 @@ class BufferPool(PressureSignal):
 
     @property
     def available(self):
-        return len(self._free)
+        return self.nslots - len(self._in_use)
 
     @property
     def occupancy(self):
@@ -155,10 +168,17 @@ class BufferPool(PressureSignal):
 
     def alloc(self):
         """Take a slot; returns a fresh :class:`PacketBuffer` with refcount 1."""
-        if not self._free:
-            self.exhaustions += 1
-            raise PoolExhausted(f"{self.name}: all {self.nslots} slots in use")
-        slot = self._free.pop()
+        recycled = self._recycled
+        if recycled:
+            slot = recycled.pop()
+        else:
+            slot = self._next
+            if slot == self.nslots:
+                self.exhaustions += 1
+                raise PoolExhausted(f"{self.name}: all {self.nslots} slots in use")
+            self._next = slot + 1
+            if self._adopted:
+                self._skip_adopted()
         in_use = self._in_use
         in_use.add(slot)
         self.allocs += 1
@@ -176,7 +196,7 @@ class BufferPool(PressureSignal):
         if slot not in in_use:
             raise RuntimeError(f"{self.name}: releasing slot {slot} not in use")
         in_use.remove(slot)
-        self._free.append(slot)
+        self._recycled.append(slot)
         self.frees += 1
         level = len(in_use) / self.nslots
         if self.under_pressure or level >= self.high_watermark:
@@ -188,14 +208,32 @@ class BufferPool(PressureSignal):
             raise IndexError(f"slot {slot} out of range")
         return slot * self.slot_size
 
+    def _skip_adopted(self):
+        """Move the bump index past the adopted slots it has reached."""
+        adopted = self._adopted
+        slot = self._next
+        while slot in adopted:
+            adopted.remove(slot)
+            slot += 1
+        self._next = slot
+
     def buffer_at_slot(self, slot):
         """Re-materialise a buffer handle for ``slot`` (recovery path).
 
-        The slot is marked in-use; the returned handle owns it.
+        The slot is marked in-use; the returned handle owns it.  The
+        other free slots keep their allocation order.
         """
+        if not 0 <= slot < self.nslots:
+            raise IndexError(f"slot {slot} out of range")
         if slot in self._in_use:
             raise RuntimeError(f"slot {slot} already materialised")
-        self._free.remove(slot)
+        if slot < self._next or slot in self._adopted:
+            self._recycled.remove(slot)  # handed out before, released since
+        elif slot == self._next:
+            self._next = slot + 1
+            self._skip_adopted()
+        else:
+            self._adopted.add(slot)
         self._in_use.add(slot)
         self.observe(self.occupancy)
         return PacketBuffer(self, slot, slot * self.slot_size, self.slot_size)

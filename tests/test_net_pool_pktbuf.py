@@ -73,6 +73,15 @@ class TestBufferPool:
         assert pool.in_use == 1
         with pytest.raises(RuntimeError):
             pool.buffer_at_slot(2)
+        assert [pool.alloc().slot for _ in range(3)] == [0, 1, 3]
+
+    @pytest.mark.parametrize("slot", [-1, 4])
+    def test_buffer_at_slot_rejects_a_slot_outside_the_pool(self, slot):
+        pool, _ = make_pool(slots=4)
+        with pytest.raises(IndexError):
+            pool.buffer_at_slot(slot)
+        assert pool.in_use == 0
+        assert [pool.alloc().slot for _ in range(4)] == [0, 1, 2, 3]
 
     def test_high_water_mark(self):
         pool, _ = make_pool(slots=4)
